@@ -391,8 +391,6 @@ def _make_server(args, graph, flat):
             HubLabelOracle(flat, backend="flat"),
             processes=processes,
             max_queue=args.max_queue,
-            max_batch=args.max_batch,
-            max_delay=args.max_delay,
             cache_size=args.cache_size,
         )
     if getattr(args, "resilient", False):
@@ -408,8 +406,6 @@ def _make_server(args, graph, flat):
     return QueryServer(
         oracle,
         max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
         cache_size=args.cache_size,
         shards=getattr(args, "shards", None),
         dispatchers=getattr(args, "dispatchers", 1) or 1,
@@ -445,9 +441,7 @@ def _cmd_serve(args) -> int:
     )
     print(
         f"server:   {type(server.oracle).__name__}, "
-        f"queue<={args.max_queue}, batch<={args.max_batch}, "
-        f"delay<={args.max_delay * 1e3:g}ms, cache={args.cache_size}, "
-        f"{fanout}"
+        f"queue<={args.max_queue}, cache={args.cache_size}, {fanout}"
     )
     with server:
         report = run_loadgen(
@@ -1036,14 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-queue", type=int, default=1024,
             help="admission-queue bound; beyond it requests are "
             "rejected with ServerOverloadError (default 1024)",
-        )
-        p.add_argument(
-            "--max-batch", type=int, default=64,
-            help="micro-batch size trigger (default 64)",
-        )
-        p.add_argument(
-            "--max-delay", type=float, default=0.002,
-            help="micro-batch deadline trigger, seconds (default 0.002)",
         )
         p.add_argument(
             "--cache-size", type=int, default=4096,

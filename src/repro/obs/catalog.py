@@ -198,8 +198,8 @@ _SPECS = (
     MetricSpec(
         SERVE_REQUEST_LATENCY_SECONDS, "histogram", (),
         "submit-to-response wall time, one amortized observation per "
-        "flushed micro-batch or served batch ticket (the oldest "
-        "waiter's; cache hits answer inline and are not timed)",
+        "dispatched group (the oldest waiter's; cache hits answer "
+        "inline and are not timed)",
     ),
     MetricSpec(
         SERVE_QUEUE_DEPTH, "gauge", (),
@@ -213,7 +213,7 @@ _SPECS = (
     ),
     MetricSpec(
         SERVE_BATCHES, "counter", (),
-        "per micro-batch or batch ticket flushed to the oracle",
+        "per dispatched group of tickets (one merged oracle call)",
     ),
     MetricSpec(
         SERVE_BATCH_SUBMISSIONS, "counter", (),
@@ -222,7 +222,7 @@ _SPECS = (
     ),
     MetricSpec(
         SERVE_COALESCE_WIDTH, "histogram", (),
-        "requests per flushed micro-batch (width buckets, not seconds)",
+        "pairs per dispatched group (width buckets, not seconds)",
     ),
     MetricSpec(
         SERVE_CACHE_HITS, "counter", (),

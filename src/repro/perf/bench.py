@@ -427,8 +427,6 @@ def run_bench(
         with QueryServer(
             flat_oracle,
             max_queue=4 * serve_clients * serve_window,
-            max_batch=serve_window,
-            max_delay=0.001,
             cache_size=0,
         ) as server:
             threads = [
@@ -486,8 +484,6 @@ def run_bench(
         with QueryServer(
             flat_oracle,
             max_queue=4 * serve_clients * batch_window,
-            max_batch=serve_window,
-            max_delay=0.001,
             cache_size=0,
         ) as server:
             threads = [
@@ -561,8 +557,6 @@ def run_bench(
         flat_oracle,
         processes=sharded_workers,
         max_queue=4 * serve_clients * batch_window,
-        max_batch=serve_window,
-        max_delay=0.001,
         cache_size=0,
     )
     sharded_server.start()
@@ -723,8 +717,6 @@ def run_bench(
         with QueryServer(
             HubLabelOracle(dyn.flat(), backend="flat"),
             max_queue=4 * serve_clients * serve_window,
-            max_batch=serve_window,
-            max_delay=0.001,
             cache_size=0,
         ) as churn_server:
 
@@ -968,8 +960,6 @@ def run_zoo_bench(
             with QueryServer(
                 flat_oracle,
                 max_queue=4 * clients * window,
-                max_batch=256,
-                max_delay=0.001,
                 cache_size=0,
             ) as server:
                 threads = [

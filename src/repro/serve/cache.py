@@ -9,6 +9,9 @@ content digest (:func:`labeling_digest`):
   computed under and is dropped silently if the server has re-keyed in
   the meantime -- an in-flight batch from the previous oracle can never
   poison the cache after :meth:`~repro.serve.server.QueryServer.set_oracle`;
+* :meth:`ResultCache.get` / :meth:`ResultCache.get_many` take the same
+  guard: a key made under a swapped-out generation (packed for another
+  vertex count, say) misses instead of reading a current entry;
 * :meth:`ResultCache.rekey` clears everything when the generation
   actually changed, and keeps the warm entries when a swap re-installed
   a labeling with the identical digest (dict vs flat backends answer
@@ -95,9 +98,16 @@ class ResultCache:
                 self._entries.clear()
             return changed
 
-    def get(self, key: Hashable):
-        """The cached value for ``key`` (freshened), or :data:`MISS`."""
+    def get(self, key: Hashable, generation: Optional[str] = None):
+        """The cached value for ``key`` (freshened), or :data:`MISS`.
+
+        A ``generation`` that no longer matches the cache's (the key was
+        made for an oracle since swapped out) misses, as :meth:`put`
+        drops a stale store.
+        """
         with self._lock:
+            if generation is not None and generation != self._generation:
+                return MISS
             try:
                 value = self._entries[key]
             except KeyError:
@@ -123,14 +133,18 @@ class ResultCache:
                 self._entries.popitem(last=False)
             return True
 
-    def get_many(self, keys: Sequence[Hashable]) -> List[object]:
+    def get_many(
+        self, keys: Sequence[Hashable], generation: Optional[str] = None
+    ) -> List[object]:
         """Cached values for ``keys`` under one lock; :data:`MISS` gaps.
 
         The batch-path counterpart of :meth:`get`: one lock round-trip
         probes a whole submitted batch.  Hits are freshened exactly as
-        single gets are.
+        single gets are; a stale ``generation`` misses every key.
         """
         with self._lock:
+            if generation is not None and generation != self._generation:
+                return [MISS] * len(keys)
             entries = self._entries
             out = []
             for key in keys:

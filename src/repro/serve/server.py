@@ -6,44 +6,48 @@ the bridge: a thread-based server that accepts a stream of concurrent
 requests and turns them into the shapes the oracles are fast at, while
 degrading *predictably* -- never silently -- under load.
 
-Two front doors share one pipeline:
+Two front doors feed one pipeline, and both speak in
+:class:`BatchTicket` s:
 
 * :meth:`QueryServer.submit` -- one ``(u, v)`` pair, one
-  ``concurrent.futures.Future``.  Misses are coalesced into
-  micro-batches (:class:`~repro.serve.coalesce.MicroBatcher`) by the
-  dispatcher, so a flood of scalar requests still reaches the flat
-  backend's vectorized kernels.
+  ``concurrent.futures.Future``.  The pair becomes a width-1 ticket on
+  a scalar path (a packed key, one cache ``get``, no numpy call) whose
+  completion resolves the future.
 * :meth:`QueryServer.submit_batch` -- whole ``us`` / ``vs`` pair
-  arrays, one :class:`BatchTicket`.  The batch is deduplicated and
-  cache-probed *vectorized* at submit time, travels the admission path
-  as a single item, is served by one kernel call, and completes with
-  one event -- results scatter back through a fancy-indexed inverse
-  map, never through per-pair ``Future.set_result``.  This is the fast
-  path ``run_loadgen``, the CLIs, and the serving benchmarks use.
+  arrays, one ticket.  The batch is deduplicated and cache-probed
+  *vectorized* at submit time, travels the admission path as a single
+  item, and completes one future -- results scatter back through a
+  fancy-indexed inverse map.  This is the fast path ``run_loadgen``,
+  the CLIs, and the serving benchmarks use.
 
 The pipeline, item by item:
 
-1. **Admission** -- the bounded queue is *sharded*: ``shards`` striped
-   deques, each with its own lock and capacity slice of ``max_queue``,
-   and per-thread shard affinity so concurrent clients rarely contend
-   on the same lock.  A full shard rejects with
+1. **Admission** -- one enqueue helper serves both doors: cache probe,
+   admission, overload, and the books.  The bounded queue is
+   *sharded*: ``shards`` striped deques, each with its own lock and
+   capacity slice of ``max_queue``, and per-thread shard affinity so
+   concurrent clients rarely contend on the same lock.  When every
+   shard is full the submit is rejected with
    :class:`~repro.runtime.errors.ServerOverloadError` (backpressure --
-   the caller backs off, nothing is dropped silently).  Cache hits
-   resolve inline and never enqueue.
+   the caller backs off, nothing is dropped silently).  Tickets the
+   cache answers completely resolve inline and never enqueue.
 2. **Dispatch** -- ``dispatchers`` threads (default one) partition the
-   shards and drain them in bulk: scalar requests feed a
-   :class:`MicroBatcher`; tickets are served directly (they are already
-   batch-shaped).  Duplicate pairs collapse to one backend query; a
-   failing batch call is retried pair-by-pair so one bad request cannot
-   poison its batch-mates.
-3. **Completion** -- one event per micro-batch / ticket; answers are
-   cached in bulk (``put_many``) under the generation captured with the
-   oracle, so a swap mid-flight can never publish stale entries.
+   shards and drain everything queued on them.  The pairs the oracle
+   must answer, across every drained ticket, are merged into one
+   dedup and one ``batch_query`` call.  There is no size or deadline
+   trigger: whatever arrived while the last call ran is the next
+   group.  If the merged call raises, the tickets are retried one by
+   one, so a bad width-1 ticket fails only its own future (and a
+   ``submit_batch`` ticket fails as a whole).
+3. **Completion** -- answers scatter back per ticket and are cached in
+   bulk (``put_many``) under the generation captured with the oracle,
+   so a swap mid-flight can never publish stale entries.
 4. **Shutdown** -- :meth:`stop` (or leaving the context manager) stops
    admissions, then *drains*: everything already accepted is served
    before the dispatchers exit.  ``drain=False`` cancels the backlog
    instead (pending futures report cancelled, pending tickets raise
-   ``CancelledError`` -- still never silent).
+   ``CancelledError``) and counts it in ``ServerStats.cancelled``, so
+   ``requests == responses + errors + cancelled`` once stopped.
 
 The oracle is only ever invoked under the swap lock, so stateful
 oracles such as :class:`~repro.runtime.resilient.ResilientOracle` need
@@ -51,27 +55,28 @@ no internal locking even with several dispatchers.  :meth:`set_oracle`
 swaps the oracle atomically; the cache generation is computed *once
 per swap* (content digest when the cache is enabled, a throwaway token
 when it is off) and cache keys are packed integers ``u * n + v`` --
-cheap to compute vectorized and cheap to hash.
+cheap to compute vectorized and cheap to hash.  A submit reads ``n``
+and the generation as one pair and probes the cache under that
+generation (a swap since then makes it a miss); each ticket remembers
+its ``n``, and the dispatcher merges and caches only tickets keyed like
+the current oracle.
 
 Metrics (``serve.*`` in ``repro.obs.catalog``): request / overload /
 cache / batch-submission counters, queue-depth and per-shard depth
 gauges, a coalesce-width histogram, and a submit-to-response latency
-histogram (one observation per micro-batch or ticket).
+histogram (one observation per dispatched group).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import Future
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via both import paths in CI images
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..obs.catalog import (
     SERVE_BATCH_SUBMISSIONS,
@@ -90,7 +95,6 @@ from ..obs.registry import Histogram
 from ..obs.registry import get_registry as _get_registry
 from ..runtime.errors import DomainError, ServerOverloadError
 from .cache import MISS, ResultCache, labeling_digest
-from .coalesce import MicroBatcher
 
 __all__ = [
     "BatchTicket",
@@ -101,7 +105,7 @@ __all__ = [
 ]
 
 #: Bucket upper edges for the coalesce-width histogram (requests per
-#: flushed micro-batch, not seconds).
+#: dispatched group, not seconds).
 WIDTH_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
 )
@@ -115,75 +119,87 @@ DEFAULT_SHARDS = 4
 _ANON = itertools.count()
 
 
-class _Request:
-    __slots__ = ("u", "v", "key", "future", "enqueued")
-
-    def __init__(self, u: int, v: int, key, enqueued: float) -> None:
-        self.u = u
-        self.v = v
-        self.key = key
-        self.future: Future = Future()
-        self.enqueued = enqueued
-
-
 class BatchTicket:
-    """One waitable unit for a whole submitted pair batch.
+    """One waitable unit of submitted pairs, backed by one ``Future``.
 
     Returned by :meth:`QueryServer.submit_batch`; :meth:`result` blocks
-    on a single event and returns the distances in submission order
-    (duplicates included -- deduplication is internal).  Error
-    granularity is the ticket: an oracle failure fails the whole batch
-    (use :meth:`QueryServer.submit` when per-pair isolation matters),
-    and a non-draining stop raises ``CancelledError``.
+    and returns the distances in submission order (duplicates included
+    -- deduplication is internal).  Error granularity is the ticket: an
+    oracle failure fails the whole batch (use :meth:`QueryServer.submit`
+    when per-pair isolation matters), and a non-draining stop raises
+    ``CancelledError``.
+
+    :meth:`QueryServer.submit` wraps each pair in a width-1 ticket (no
+    scatter map) and hands out its future, which resolves to the bare
+    distance.
     """
 
     __slots__ = (
-        "width", "enqueued",
-        "_event", "_results", "_error",
-        "_keys", "_pairs", "_values", "_need", "_scatter",
+        "width", "enqueued", "_future",
+        "_base", "_keys", "_pairs", "_values", "_need", "_scatter",
     )
 
-    def __init__(self, width, enqueued, keys, pairs, values, need, scatter):
+    def __init__(self, width, keys, pairs, scatter, base):
         self.width = width
-        self.enqueued = enqueued
-        self._event = threading.Event()
-        self._results: Optional[List[object]] = None
-        self._error: Optional[BaseException] = None
-        self._keys = keys        # cache keys, one per unique pair
-        self._pairs = pairs      # unique (u, v) tuples
-        self._values = values    # per-unique answers (MISS = pending)
-        self._need = need        # unique indices the oracle must answer
-        self._scatter = scatter  # submission index -> unique index
+        self.enqueued = perf_counter()
+        self._future: Future = Future()
+        self._base = base        # n the keys were packed with (None: tuples)
+        self._keys = keys        # cache keys of the pairs still to answer
+        self._pairs = pairs      # those pairs: (m, 2) int64 array or tuples
+        # Per unique pair, once the cache answered some of them:
+        # _keys[i] answers _values[_need[i]].
+        self._values: Optional[List[object]] = None
+        self._need: Optional[List[int]] = None
+        self._scatter = scatter  # submission -> unique index; None: width 1
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._future.done()
 
     def result(self, timeout: Optional[float] = None) -> List[object]:
         """The distances, in submission order (blocks until served)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("BatchTicket not resolved in time")
-        if self._error is not None:
-            raise self._error
-        return self._results
+        return self._future.result(timeout)
 
-    def _resolve(self, results: List[object]) -> None:
-        self._results = results
-        self._event.set()
+    def _probed(self, found: List[object]) -> int:
+        """Take the cache's answers (``MISS`` gaps); narrow what is left
+        to ask the oracle and return how many submissions were hits."""
+        need = [index for index, value in enumerate(found) if value is MISS]
+        if len(need) == len(found):
+            return 0
+        self._values = found
+        self._need = need
+        if not need:
+            return self.width
+        keys = self._keys
+        self._keys = [keys[index] for index in need]
+        self._pairs = self._pairs[need]  # only multi-pair tickets get here
+        missing = np.zeros(len(found), dtype=bool)
+        missing[need] = True
+        return self.width - int(np.count_nonzero(missing[self._scatter]))
 
-    def _fail(self, exc: BaseException) -> None:
-        self._error = exc
-        self._event.set()
-
-    def _scatter_and_resolve(self) -> None:
+    def _answer(self, answers) -> None:
+        """Complete with the oracle's ``answers`` to ``_keys`` (none when
+        the cache answered the whole ticket)."""
         values = self._values
-        scatter = self._scatter
-        if np is not None and isinstance(scatter, np.ndarray):
+        if values is None:
+            values = answers
+        else:
+            for index, value in zip(self._need, answers):
+                values[index] = value
+        if self._scatter is None:
+            _resolve(self._future, value=values[0])
+        else:
             # Fancy-indexed scatter over an object array keeps every
             # answer's Python type intact (int vs float, inf included).
-            results = np.asarray(values, dtype=object)[scatter].tolist()
-        else:
-            results = [values[j] for j in scatter]
-        self._resolve(results)
+            _resolve(
+                self._future,
+                value=np.asarray(values, dtype=object)[self._scatter].tolist(),
+            )
+
+    def _fail(self, exc: BaseException) -> None:
+        _resolve(self._future, exc=exc)
+
+    def _cancel(self) -> None:
+        self._future.cancel()
 
     def __repr__(self) -> str:
         state = "done" if self.done() else "pending"
@@ -198,7 +214,7 @@ class _Shard:
     def __init__(self, index: int, capacity: int, event) -> None:
         self.index = index
         self.lock = threading.Lock()
-        self.items: List[object] = []
+        self.items: List[BatchTicket] = []
         self.pairs = 0
         self.capacity = capacity
         self.event = event
@@ -208,18 +224,20 @@ class _Shard:
 class ServerStats:
     """A consistent snapshot of the server's own tallies.
 
-    ``responses`` counts answered pairs (cache hits included);
-    ``requests - responses - errors`` pending pairs.  ``coalesced`` is
-    the number of pairs served through micro-batches or tickets, so
-    ``coalesced / batches`` is the realized mean batch width --
-    ``batch_width_p50`` / ``batch_width_p95`` report the width
+    ``responses`` counts answered pairs (cache hits included) and
+    ``cancelled`` the pairs a non-draining stop dropped, so
+    ``requests - responses - errors - cancelled`` pairs are pending (0
+    once stopped).  ``coalesced`` is the number of pairs in dispatched
+    groups, so ``coalesced / batches`` is the realized mean group width
+    -- ``batch_width_p50`` / ``batch_width_p95`` report the width
     *distribution* from the server's own histogram, which a mean alone
-    cannot (one giant ticket hides a thousand singleton flushes).
+    cannot (one giant ticket hides a thousand singleton groups).
     """
 
     requests: int = 0
     responses: int = 0
     errors: int = 0
+    cancelled: int = 0
     cache_hits: int = 0
     overloads: int = 0
     batches: int = 0
@@ -255,6 +273,48 @@ def _key_base_for(oracle) -> Optional[int]:
     return n if isinstance(n, int) and n > 0 else None
 
 
+def _merge(group: List[BatchTicket], base: Optional[int]):
+    """One dedup over the pairs ``group`` still asks, all keyed with
+    ``base``: ``(keys, pairs, inverse)`` -- the unique keys, their
+    pairs, and each asked pair's index into them."""
+    keys = list(itertools.chain.from_iterable(t._keys for t in group))
+    if base is None:
+        # Tuple keys are the pairs themselves.
+        unique = list(dict.fromkeys(keys))
+        slot = {key: index for index, key in enumerate(unique)}
+        return unique, unique, [slot[key] for key in keys]
+    packed, inverse = np.unique(
+        np.array(keys, dtype=np.int64), return_inverse=True
+    )
+    us, vs = np.divmod(packed, base)
+    return packed.tolist(), np.column_stack((us, vs)), inverse.reshape(-1)
+
+
+def _for_oracle(pairs, arrays: bool):
+    """``pairs`` as the oracle takes them: a pair array only when it
+    advertises ``accepts_pair_arrays``, else a list of tuples."""
+    if arrays or not isinstance(pairs, np.ndarray):
+        return pairs
+    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
+
+def _ask(oracle, pairs) -> List[object]:
+    """The oracle's answers for ``pairs``: one ``batch_query`` call,
+    pair by pair when it has none or the call fails (the first scalar
+    failure propagates)."""
+    batch_fn = getattr(oracle, "batch_query", None)
+    if batch_fn is not None:
+        try:
+            return batch_fn(pairs)
+        except Exception:
+            pass  # the scalar path below decides which pair is bad
+    answers = []
+    for u, v in _for_oracle(pairs, False):
+        outcome = oracle.query(u, v)
+        answers.append(getattr(outcome, "distance", outcome))
+    return answers
+
+
 class QueryServer:
     """A bounded, coalescing, caching front-end over a distance oracle.
 
@@ -274,8 +334,6 @@ class QueryServer:
         oracle,
         *,
         max_queue: int = 1024,
-        max_batch: int = 64,
-        max_delay: float = 0.002,
         cache_size: int = 4096,
         shards: Optional[int] = None,
         dispatchers: int = 1,
@@ -287,8 +345,6 @@ class QueryServer:
         if dispatchers < 1:
             raise ValueError("dispatchers must be at least 1")
         self.max_queue = max_queue
-        self.max_batch = max_batch
-        self.max_delay = max_delay
         # Every shard must own a positive slice of max_queue, or a
         # thread pinned to a zero-capacity stripe could never submit.
         self.shards = min(shards or DEFAULT_SHARDS, max_queue)
@@ -309,13 +365,10 @@ class QueryServer:
         self._cache = ResultCache(cache_size)
         self._cache_on = cache_size > 0
         self._oracle = oracle
-        self._generation = _generation_for(oracle, content=self._cache_on)
-        self._key_base = _key_base_for(oracle)
-        self._pairs_native = np is not None and bool(
-            getattr(oracle, "accepts_pair_arrays", False)
-        )
+        generation = _generation_for(oracle, content=self._cache_on)
+        self._keying = (_key_base_for(oracle), generation)
         self._generation_seq = 0
-        self._cache.rekey(self._generation)
+        self._cache.rekey(generation)
         self._accepting = False
         self._stopping = False
         self._drain_requested = True
@@ -326,6 +379,7 @@ class QueryServer:
             "requests": 0,
             "responses": 0,
             "errors": 0,
+            "cancelled": 0,
             "cache_hits": 0,
             "overloads": 0,
             "batches": 0,
@@ -380,20 +434,12 @@ class QueryServer:
                 self._stopping = False
             # Catch submits that raced the accepting flag: with the
             # dispatchers gone, serve (or cancel) them inline.
-            leftovers = self._take_all()
+            leftovers = self._take(self._shards)
             if leftovers:
-                requests = [x for x in leftovers if type(x) is _Request]
-                tickets = [x for x in leftovers if type(x) is not _Request]
                 if drain:
-                    if requests:
-                        self._serve_batch(requests)
-                    for ticket in tickets:
-                        self._serve_ticket(ticket)
+                    self._serve(leftovers)
                 else:
-                    for request in requests:
-                        request.future.cancel()
-                    for ticket in tickets:
-                        ticket._fail(CancelledError())
+                    self._cancel(leftovers)
 
     @property
     def running(self) -> bool:
@@ -408,18 +454,6 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _key(self, u: int, v: int):
-        """The cache key for one pair: packed int in-domain, else tuple.
-
-        Out-of-domain coordinates must never pack (they could alias a
-        valid pair's integer); they keep tuple keys, which are only
-        ever probed, never stored (the oracle rejects the pair).
-        """
-        base = self._key_base
-        if base is not None and 0 <= u < base and 0 <= v < base:
-            return u * base + v
-        return (u, v)
-
     def _shard_for_thread(self) -> _Shard:
         try:
             return self._local.shard
@@ -428,7 +462,7 @@ class QueryServer:
             self._local.shard = shard
             return shard
 
-    def _admit(self, item, pairs: int) -> Optional[_Shard]:
+    def _admit(self, item: BatchTicket, pairs: int) -> Optional[_Shard]:
         """Enqueue ``item`` (``pairs`` queued pairs) on the caller's
         home shard, overflowing to the other stripes when it is full --
         a submit is rejected only when *every* shard is at capacity, so
@@ -452,82 +486,103 @@ class QueryServer:
     def submit(self, u: int, v: int) -> Future:
         """Enqueue one query; returns a future resolving to its distance.
 
-        Raises :class:`ServerOverloadError` when the caller's admission
-        shard is full -- the request was *not* accepted, back off and
-        retry.  Raises :class:`RuntimeError` when the server is not
-        running.
+        Raises :class:`ServerOverloadError` when every admission shard
+        is full -- the request was *not* accepted, back off and retry.
+        Raises :class:`RuntimeError` when the server is not running.
+        An oracle failure (an out-of-domain pair, say) fails only this
+        future.
         """
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
-        obs = self._bind_obs()
-        key = self._key(u, v)
-        if self._cache_on:
-            hit = self._cache.get(key)
-            if hit is not MISS:
-                future: Future = Future()
-                future.set_result(hit)
-                with self._stats_lock:
-                    self._stats["requests"] += 1
-                    self._stats["cache_hits"] += 1
-                    self._stats["responses"] += 1
-                if obs is not None:
-                    obs.requests.inc()
-                    obs.cache_hits.inc()
-                return future
-        request = _Request(u, v, key, perf_counter())
-        shard = self._admit(request, 1)
-        if shard is None:
-            with self._stats_lock:
-                self._stats["overloads"] += 1
-            if obs is not None:
-                obs.overloads.inc()
-            raise ServerOverloadError(
-                f"admission queue is full; request ({u}, {v}) rejected",
-                capacity=self.max_queue,
-            )
-        with self._stats_lock:
-            self._stats["requests"] += 1
-        if obs is not None:
-            obs.requests.inc()
-            obs.cache_misses.inc()
-            obs.queue_depth.set(self.queue_depth())
-            obs.shard_depth(shard.index).set(shard.pairs)
-        return request.future
+        base, generation = self._keying
+        if base is not None and 0 <= u < base and 0 <= v < base:
+            key = u * base + v
+        else:
+            # Out-of-domain coordinates must never pack (they could
+            # alias a valid pair's integer): a tuple key, never merged
+            # with packed ones.
+            key = (u, v)
+            base = None
+        ticket = BatchTicket(1, [key], [(u, v)], None, base)
+        self._enqueue(ticket, generation)
+        return ticket._future
 
     def submit_batch(self, us, vs) -> BatchTicket:
         """Enqueue a whole pair batch; returns one :class:`BatchTicket`.
 
         ``us`` / ``vs`` are equal-length sequences (numpy arrays ride
-        the vectorized path: packed-key dedup, bulk cache probe, fancy
-        -indexed result scatter).  The batch is admitted whole or
-        rejected whole with :class:`ServerOverloadError`; out-of-domain
-        vertices are rejected up front with :class:`DomainError` when
-        the oracle's vertex count is known.
+        the vectorized path with no conversion).  The batch is admitted
+        whole or rejected whole with :class:`ServerOverloadError`;
+        out-of-domain vertices are rejected up front with
+        :class:`DomainError` when the oracle's vertex count is known.
         """
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
-        obs = self._bind_obs()
-        keys, pairs, scatter = self._dedup_pairs(us, vs)
-        width = len(scatter)
-        enqueued = perf_counter()
-        if width == 0:
-            ticket = BatchTicket(0, enqueued, keys, pairs, [], [], scatter)
-            ticket._resolve([])
-            return ticket
-        values: List[object] = [MISS] * len(pairs)
-        if self._cache_on:
-            need = []
-            for index, value in enumerate(self._cache.get_many(keys)):
-                if value is MISS:
-                    need.append(index)
-                else:
-                    values[index] = value
+        ticket, generation = self._ticket(us, vs)
+        self._enqueue(ticket, generation)
+        return ticket
+
+    def _ticket(self, us, vs) -> Tuple[BatchTicket, str]:
+        """A batch ticket -- unique cache keys + pairs and the
+        submission -> unique scatter map, all vectorized -- and the
+        cache generation its keys belong to."""
+        us_arr = np.asarray(us, dtype=np.int64).reshape(-1)
+        vs_arr = np.asarray(vs, dtype=np.int64).reshape(-1)
+        if us_arr.shape != vs_arr.shape:
+            raise ValueError("us and vs must be the same length")
+        base, generation = self._keying
+        if base is None:
+            pairs, scatter = np.unique(
+                np.column_stack((us_arr, vs_arr)),
+                axis=0,
+                return_inverse=True,
+            )
+            keys = list(map(tuple, pairs.tolist()))
         else:
-            need = list(range(len(pairs)))
-        ticket = BatchTicket(width, enqueued, keys, pairs, values, need, scatter)
-        if not need:
-            # Fully answered from cache: resolve inline, never enqueue.
-            ticket._scatter_and_resolve()
+            if us_arr.size and (
+                int(us_arr.min()) < 0
+                or int(us_arr.max()) >= base
+                or int(vs_arr.min()) < 0
+                or int(vs_arr.max()) >= base
+            ):
+                raise DomainError(
+                    f"batch contains a vertex outside [0, {base})"
+                )
+            packed, first, scatter = np.unique(
+                us_arr * base + vs_arr, return_index=True, return_inverse=True
+            )
+            keys = packed.tolist()
+            pairs = np.column_stack((us_arr[first], vs_arr[first]))
+        ticket = BatchTicket(
+            us_arr.size, keys, pairs, scatter.reshape(-1), base
+        )
+        return ticket, generation
+
+    def _enqueue(
+        self, ticket: BatchTicket, generation: str, *, inline: bool = False
+    ) -> None:
+        """Both doors' shared path: cache probe, then admission (or,
+        with ``inline``, service in the calling thread), overload, and
+        the books.  A ticket the cache answers completely resolves here
+        and never enqueues.
+
+        ``generation`` is the one the ticket's keys were packed under;
+        the probe misses if a swap has re-keyed the cache since, so a
+        key packed for one vertex count never reads another's entry.
+        """
+        obs = self._bind_obs()
+        width = ticket.width
+        hits = 0
+        if self._cache_on:
+            keys = ticket._keys
+            found = (
+                [self._cache.get(keys[0], generation)]
+                if len(keys) == 1
+                else self._cache.get_many(keys, generation)
+            )
+            hits = ticket._probed(found)
+        if hits == width:
+            ticket._answer(())
             with self._stats_lock:
                 self._stats["requests"] += width
                 self._stats["cache_hits"] += width
@@ -535,99 +590,39 @@ class QueryServer:
             if obs is not None:
                 obs.requests.inc(width)
                 obs.cache_hits.inc(width)
-            return ticket
-        hit_pairs = 0
-        if len(need) < len(pairs):
-            needed = set(need)
-            hit_pairs = sum(
-                1
-                for unique_index in (
-                    scatter.tolist()
-                    if np is not None and isinstance(scatter, np.ndarray)
-                    else scatter
+            return
+        shard = None
+        if not inline:
+            shard = self._admit(ticket, len(ticket._keys))
+            if shard is None:
+                with self._stats_lock:
+                    self._stats["overloads"] += 1
+                if obs is not None:
+                    obs.overloads.inc()
+                what = (
+                    f"request {ticket._pairs[0]}"
+                    if ticket._scatter is None
+                    else f"batch of {width} pair(s)"
                 )
-                if unique_index not in needed
-            )
-        shard = self._admit(ticket, len(need))
-        if shard is None:
-            with self._stats_lock:
-                self._stats["overloads"] += 1
-            if obs is not None:
-                obs.overloads.inc()
-            raise ServerOverloadError(
-                f"admission queue is full; batch of {width} pair(s) rejected",
-                capacity=self.max_queue,
-            )
+                raise ServerOverloadError(
+                    f"admission queue is full; {what} rejected",
+                    capacity=self.max_queue,
+                )
         with self._stats_lock:
             self._stats["requests"] += width
-            self._stats["cache_hits"] += hit_pairs
+            self._stats["cache_hits"] += hits
         if obs is not None:
             obs.requests.inc(width)
-            obs.batch_submissions.inc()
-            if hit_pairs:
-                obs.cache_hits.inc(hit_pairs)
-            obs.cache_misses.inc(width - hit_pairs)
-            obs.queue_depth.set(self.queue_depth())
-            obs.shard_depth(shard.index).set(shard.pairs)
-        return ticket
-
-    def _dedup_pairs(self, us, vs):
-        """Unique cache keys + pairs and the submission->unique scatter map."""
-        base = self._key_base
-        if np is not None:
-            us_arr = np.asarray(us, dtype=np.int64).reshape(-1)
-            vs_arr = np.asarray(vs, dtype=np.int64).reshape(-1)
-            if us_arr.shape != vs_arr.shape:
-                raise ValueError("us and vs must be the same length")
-            if base is not None:
-                if us_arr.size and (
-                    int(us_arr.min()) < 0
-                    or int(us_arr.max()) >= base
-                    or int(vs_arr.min()) < 0
-                    or int(vs_arr.max()) >= base
-                ):
-                    raise DomainError(
-                        f"batch contains a vertex outside [0, {base})"
-                    )
-                packed = us_arr * base + vs_arr
-                unique, first, scatter = np.unique(
-                    packed, return_index=True, return_inverse=True
-                )
-                if self._pairs_native:
-                    # The oracle consumes (m, 2) arrays directly: skip
-                    # the tuple-list round trip on the hot path.
-                    pairs = np.column_stack((us_arr[first], vs_arr[first]))
-                else:
-                    pairs = list(
-                        zip(us_arr[first].tolist(), vs_arr[first].tolist())
-                    )
-                return unique.tolist(), pairs, scatter.reshape(-1)
-            us_list, vs_list = us_arr.tolist(), vs_arr.tolist()
-        else:
-            us_list = [int(u) for u in us]
-            vs_list = [int(v) for v in vs]
-            if len(us_list) != len(vs_list):
-                raise ValueError("us and vs must be the same length")
-            if base is not None:
-                for u, v in zip(us_list, vs_list):
-                    if not (0 <= u < base and 0 <= v < base):
-                        raise DomainError(
-                            f"batch contains a vertex outside [0, {base})"
-                        )
-        slots: Dict[object, int] = {}
-        keys: List[object] = []
-        pairs = []
-        scatter = []
-        for u, v in zip(us_list, vs_list):
-            key = u * base + v if base is not None else (u, v)
-            slot = slots.get(key)
-            if slot is None:
-                slot = len(keys)
-                slots[key] = slot
-                keys.append(key)
-                pairs.append((u, v))
-            scatter.append(slot)
-        return keys, pairs, scatter
+            if ticket._scatter is not None:
+                obs.batch_submissions.inc()
+            if hits:
+                obs.cache_hits.inc(hits)
+            obs.cache_misses.inc(width - hits)
+            if shard is not None:
+                obs.queue_depth.set(self.queue_depth())
+                obs.shard_depth(shard.index).set(shard.pairs)
+        if inline:
+            self._serve([ticket])
 
     def query(self, u: int, v: int, timeout: Optional[float] = None):
         """Blocking convenience: submit and wait for the distance."""
@@ -650,7 +645,7 @@ class QueryServer:
     @property
     def generation(self) -> str:
         """The result cache's current generation token."""
-        return self._generation
+        return self._keying[1]
 
     @property
     def generation_seq(self) -> int:
@@ -670,14 +665,10 @@ class QueryServer:
         """
         generation = _generation_for(oracle, content=self._cache_on)
         key_base = _key_base_for(oracle)
-        pairs_native = np is not None and bool(
-            getattr(oracle, "accepts_pair_arrays", False)
-        )
         with self._oracle_lock:
             self._oracle = oracle
-            self._generation = generation
-            self._key_base = key_base
-            self._pairs_native = pairs_native
+            # One attribute, so a submit reads a matching (n, generation).
+            self._keying = (key_base, generation)
             self._generation_seq += 1
             seq = self._generation_seq
             cleared = self._cache.rekey(generation)
@@ -717,7 +708,7 @@ class QueryServer:
             f"QueryServer({state}, oracle={type(self._oracle).__name__}, "
             f"queue={self.queue_depth()}/{self.max_queue}, "
             f"shards={list(self.shard_depths())}, "
-            f"dispatchers={self.dispatchers}, max_batch={self.max_batch})"
+            f"dispatchers={self.dispatchers})"
         )
 
     # ------------------------------------------------------------------
@@ -740,196 +731,122 @@ class QueryServer:
         return self._obs
 
     def _run(self, index: int) -> None:
-        batcher: MicroBatcher = MicroBatcher(self.max_batch, self.max_delay)
         event = self._events[index]
         shards = self._shards[index :: self.dispatchers]
         while True:
             event.clear()
             stopping = self._stopping
-            drain = self._drain_requested if stopping else True
-            progressed = False
-            for shard in shards:
-                if not shard.items:
-                    continue
-                with shard.lock:
-                    items = shard.items
-                    shard.items = []
-                    shard.pairs = 0
-                progressed = True
-                requests: List[_Request] = []
-                for item in items:
-                    if type(item) is _Request:
-                        if drain:
-                            requests.append(item)
-                        else:
-                            item.future.cancel()
-                    elif drain:
-                        self._serve_ticket(item)
-                    else:
-                        item._fail(CancelledError())
-                if requests:
-                    for full in batcher.add_many(requests, perf_counter()):
-                        self._serve_batch(full)
-            if progressed:
-                continue  # new work may have landed while serving
-            if stopping:
-                final = batcher.flush()
-                if final:
-                    if drain:
-                        self._serve_batch(final)
-                    else:
-                        for request in final:
-                            request.future.cancel()
+            tickets = self._take(shards)
+            if tickets:
+                # New work may land while this group is served; the
+                # loop drains it as the next group.
+                if stopping and not self._drain_requested:
+                    self._cancel(tickets)
+                else:
+                    self._serve(tickets)
+            elif stopping:
                 return
-            if len(batcher):
-                remaining = batcher.deadline - perf_counter()
-                if remaining <= 0 or not event.wait(remaining):
-                    batch = batcher.poll(perf_counter())
-                    if batch:
-                        self._serve_batch(batch)
             else:
                 event.wait()  # park until a submit or stop() wakes us
 
-    def _take_all(self) -> List[object]:
-        items: List[object] = []
-        for shard in self._shards:
-            with shard.lock:
-                if shard.items:
+    @staticmethod
+    def _take(shards: List[_Shard]) -> List[BatchTicket]:
+        items: List[BatchTicket] = []
+        for shard in shards:
+            if shard.items:
+                with shard.lock:
                     items.extend(shard.items)
                     shard.items = []
                     shard.pairs = 0
         return items
 
-    def _serve_ticket(self, ticket: BatchTicket) -> None:
-        """Serve one batch ticket: one kernel call, one completion event."""
-        obs = self._bind_obs()
-        need = ticket._need
-        pairs = ticket._pairs
-        is_array = np is not None and isinstance(pairs, np.ndarray)
-        if len(need) == len(pairs):
-            keys = ticket._keys
-        else:
-            pairs = pairs[need] if is_array else [pairs[i] for i in need]
-            keys = [ticket._keys[i] for i in need]
-        answers: List[object] = []
-        error: Optional[BaseException] = None
-        with self._oracle_lock:
-            oracle = self._oracle
-            generation = self._generation
-            if is_array and not getattr(oracle, "accepts_pair_arrays", False):
-                # A swap installed an oracle without the array fast
-                # path while this ticket was in flight: down-convert.
-                pairs = list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-                is_array = False
-            batch_fn = getattr(oracle, "batch_query", None)
-            if batch_fn is not None:
-                try:
-                    answers = batch_fn(pairs)
-                except Exception:
-                    batch_fn = None  # retry pair-by-pair below
-            if batch_fn is None:
-                answers = []
-                for u, v in pairs.tolist() if is_array else pairs:
-                    try:
-                        outcome = oracle.query(u, v)
-                    except Exception as exc:
-                        error = exc
-                        break
-                    answers.append(getattr(outcome, "distance", outcome))
-        done = perf_counter()
-        if error is not None:
-            ticket._fail(error)
-            with self._stats_lock:
-                self._stats["errors"] += ticket.width
-            return
-        values = ticket._values
-        for unique_index, value in zip(need, answers):
-            values[unique_index] = value
-        if self._cache_on:
-            self._cache.put_many(keys, answers, generation)
-        ticket._scatter_and_resolve()
-        self._width_hist.observe(float(ticket.width))
+    def _cancel(self, tickets: List[BatchTicket]) -> None:
+        for ticket in tickets:
+            ticket._cancel()
         with self._stats_lock:
-            self._stats["batches"] += 1
-            self._stats["coalesced"] += ticket.width
-            self._stats["responses"] += ticket.width
-        if obs is not None:
-            obs.batches.inc()
-            obs.coalesce_width.observe(float(ticket.width))
-            obs.request_latency.observe(done - ticket.enqueued)
-            obs.queue_depth.set(self.queue_depth())
+            self._stats["cancelled"] += sum(t.width for t in tickets)
 
-    def _serve_batch(self, requests: List[_Request]) -> None:
+    def _serve(self, tickets: List[BatchTicket]) -> None:
+        """Answer one drained group and scatter the answers per ticket.
+
+        Tickets keyed like the current oracle share one dedup and one
+        ``batch_query`` call; the rest (keys packed for a swapped-out
+        oracle, out-of-domain tuple keys) and every ticket of a failed
+        merged call are answered one ticket at a time.
+        """
         obs = self._bind_obs()
-        # Collapse duplicate pairs: one backend query answers them all.
-        order: List[Tuple[int, int]] = []
-        keys: List[object] = []
-        groups: Dict[object, List[_Request]] = {}
-        for request in requests:
-            group = groups.get(request.key)
-            if group is None:
-                groups[request.key] = [request]
-                order.append((request.u, request.v))
-                keys.append(request.key)
-            else:
-                group.append(request)
-        answers: Dict[object, object] = {}
-        failures: Dict[object, BaseException] = {}
+        answered: List[Tuple[BatchTicket, object]] = []
+        failed: List[Tuple[BatchTicket, BaseException]] = []
+        puts: List[Tuple[List[object], object]] = []
         with self._oracle_lock:
             oracle = self._oracle
-            generation = self._generation
-            batch_fn = getattr(oracle, "batch_query", None)
-            if batch_fn is not None:
+            base, generation = self._keying
+            arrays = bool(getattr(oracle, "accepts_pair_arrays", False))
+            group: List[BatchTicket] = []
+            alone: List[BatchTicket] = []
+            width = 0
+            for ticket in tickets:
+                width += ticket.width
+                (group if ticket._base == base else alone).append(ticket)
+            if len(group) > 1:
+                batch_fn = getattr(oracle, "batch_query", None)
                 try:
-                    call_pairs = order
-                    if (
-                        np is not None
-                        and len(order) >= 32
-                        and getattr(oracle, "accepts_pair_arrays", False)
-                    ):
-                        call_pairs = np.asarray(order, dtype=np.int64)
-                    values = batch_fn(call_pairs)
-                    answers = dict(zip(keys, values))
+                    keys, pairs, inverse = _merge(group, base)
+                    pairs = _for_oracle(pairs, arrays)
+                    # A failed merged call goes straight to the per-ticket
+                    # retry, which owns the scalar fallback.
+                    answers = (
+                        batch_fn(pairs)
+                        if batch_fn is not None
+                        else _ask(oracle, pairs)
+                    )
                 except Exception:
-                    # One bad pair fails a whole batch call; isolate it
-                    # below so its batch-mates still get answers.
-                    batch_fn = None
-            if batch_fn is None:
-                for key, pair in zip(keys, order):
-                    try:
-                        outcome = oracle.query(*pair)
-                        answers[key] = getattr(outcome, "distance", outcome)
-                    except Exception as exc:
-                        failures[key] = exc
-        done = perf_counter()
-        if self._cache_on and answers:
-            self._cache.put_many(
-                list(answers.keys()), list(answers.values()), generation
-            )
-        errors = 0
-        for key in keys:
-            if key in failures:
-                exc = failures[key]
-                errors += len(groups[key])
-                for request in groups[key]:
-                    _resolve(request.future, exc=exc)
+                    alone = tickets  # isolate the bad ticket below
+                else:
+                    puts.append((keys, answers))
+                    ordered = np.asarray(answers, dtype=object)[
+                        inverse
+                    ].tolist()
+                    offset = 0
+                    for ticket in group:
+                        end = offset + len(ticket._keys)
+                        answered.append((ticket, ordered[offset:end]))
+                        offset = end
             else:
-                value = answers[key]
-                for request in groups[key]:
-                    _resolve(request.future, value=value)
-        self._width_hist.observe(float(len(requests)))
+                alone = tickets
+            for ticket in alone:
+                try:
+                    answers = _ask(
+                        oracle, _for_oracle(ticket._pairs, arrays)
+                    )
+                except Exception as exc:
+                    failed.append((ticket, exc))
+                    continue
+                answered.append((ticket, answers))
+                if ticket._base == base:
+                    puts.append((ticket._keys, answers))
+        done = perf_counter()
+        if self._cache_on:
+            for keys, answers in puts:
+                self._cache.put_many(keys, answers, generation)
+        for ticket, answers in answered:
+            ticket._answer(answers)
+        for ticket, exc in failed:
+            ticket._fail(exc)
+        errors = sum(ticket.width for ticket, _ in failed)
+        self._width_hist.observe(float(width))
         with self._stats_lock:
             self._stats["batches"] += 1
-            self._stats["coalesced"] += len(requests)
-            self._stats["responses"] += len(requests) - errors
+            self._stats["coalesced"] += width
+            self._stats["responses"] += width - errors
             self._stats["errors"] += errors
         if obs is not None:
             obs.batches.inc()
-            obs.coalesce_width.observe(float(len(requests)))
+            obs.coalesce_width.observe(float(width))
             obs.queue_depth.set(self.queue_depth())
-            # One amortized observation per micro-batch: the oldest
-            # waiter's submit-to-response time bounds its batch-mates'.
-            oldest = min(request.enqueued for request in requests)
+            # One amortized observation per group: the oldest waiter's
+            # submit-to-response time bounds its group-mates'.
+            oldest = min(ticket.enqueued for ticket in tickets)
             obs.request_latency.observe(done - oldest)
 
 

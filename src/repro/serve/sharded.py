@@ -8,9 +8,9 @@ immutable, so shard the *compute*, not the data:
 * the parent copies the flat store's artifact envelope into **one**
   ``multiprocessing.shared_memory`` segment (or points workers at a
   cached artifact file to ``mmap``), via :mod:`repro.perf.shm`;
-* each of ``processes`` forked workers attaches zero-copy and runs the
-  existing batch door -- a full in-process
-  :class:`~repro.serve.server.QueryServer` with its own
+* each of ``processes`` forked workers attaches zero-copy and serves
+  every frame synchronously through the in-process pipeline -- an
+  unstarted :class:`~repro.serve.server.QueryServer` with its own
   generation-keyed result cache -- over the shared pages;
 * the parent speaks a **pair-array IPC protocol** to the fleet: raw
   length-prefixed numpy frames (int64 pairs out, float64 distances
@@ -48,10 +48,7 @@ import threading
 from concurrent.futures import Future
 from typing import List, Optional, Tuple
 
-try:  # pragma: no cover - exercised via both import paths in CI images
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..obs.catalog import (
     SERVE_COALESCE_WIDTH,
@@ -82,10 +79,14 @@ _ERR_DOMAIN = 1
 
 #: Fields (and order) of the packed uint64 stats a worker reports.
 _STATS_FIELDS = (
-    "requests", "responses", "errors", "cache_hits", "overloads",
-    "batches", "coalesced",
+    "requests", "responses", "errors", "cancelled", "cache_hits",
+    "overloads", "batches", "coalesced",
 )
 _STATS_PACK = f">{len(_STATS_FIELDS)}Q"
+
+#: The worker tallies ``ShardedQueryServer.stats`` sums; the pair books
+#: (requests / responses / errors / overloads) are the parent's own.
+_SUMMED = ("cancelled", "cache_hits", "batches", "coalesced")
 
 #: Patience for lifecycle handshakes (shutdown ack, worker join).
 _LIFECYCLE_TIMEOUT = 5.0
@@ -109,12 +110,13 @@ def _encode_error(kind: int, message: str) -> bytes:
 def _worker_main(conn, source_kind: str, source_arg: str, options: dict):
     """One worker process: attach the shared store, serve frames forever.
 
-    Runs the *existing* batch door -- a private
-    :class:`~repro.serve.server.QueryServer` whose oracle views the
-    shared pages -- so each worker keeps its own generation-keyed
-    result cache and micro-batching semantics for free.  Top-level (and
-    with picklable arguments) so the fleet also works under the
-    ``spawn`` start method.
+    Each frame goes through the in-process pipeline synchronously: a
+    private, never-started :class:`~repro.serve.server.QueryServer`
+    whose oracle views the shared pages dedups it, probes its own
+    generation-keyed result cache, and serves the rest in this thread
+    -- no dispatcher thread, no event hop.  Top-level (and with
+    picklable arguments) so the fleet also works under the ``spawn``
+    start method.
     """
     from ..oracles.oracle import HubLabelOracle
     from ..perf.shm import MappedLabelStore, SharedLabelStore
@@ -124,17 +126,12 @@ def _worker_main(conn, source_kind: str, source_arg: str, options: dict):
         store = SharedLabelStore.attach(source_arg)
     else:
         store = MappedLabelStore(source_arg)
+    # Admission is the parent's job; the worker's pipeline is never
+    # started and serves each frame inline.
     server = QueryServer(
         HubLabelOracle(store.flat, backend="flat"),
-        # The worker serves one frame at a time, so admission pressure
-        # is the parent's job; a generous bound keeps any frame width
-        # admissible here.
-        max_queue=max(int(options.get("max_queue", 1024)), 1 << 16),
-        max_batch=int(options.get("max_batch", 64)),
-        max_delay=float(options.get("max_delay", 0.002)),
         cache_size=int(options.get("cache_size", 4096)),
     )
-    server.start()
     try:
         while True:
             try:
@@ -160,7 +157,9 @@ def _worker_main(conn, source_kind: str, source_arg: str, options: dict):
             us = np.frombuffer(frame, dtype="<i8", count=m, offset=9)
             vs = np.frombuffer(frame, dtype="<i8", count=m, offset=9 + 8 * m)
             try:
-                values = server.submit_batch(us, vs).result()
+                ticket, generation = server._ticket(us, vs)
+                server._enqueue(ticket, generation, inline=True)
+                values = ticket.result()
                 payload = np.asarray(values, dtype=np.float64)
             except DomainError as exc:
                 conn.send_bytes(_encode_error(_ERR_DOMAIN, str(exc)))
@@ -174,7 +173,6 @@ def _worker_main(conn, source_kind: str, source_arg: str, options: dict):
                 + payload.astype("<f8", copy=False).tobytes()
             )
     finally:
-        server.stop()
         # The server's oracle holds the last views over the shared
         # pages; release it first or close() cannot drop the mapping
         # (and SharedMemory.__del__ would warn at interpreter exit).
@@ -287,9 +285,8 @@ class ShardedQueryServer:
 
     ``max_queue`` bounds in-flight pairs fleet-wide (admission mirrors
     the in-process server: a batch is admitted whole into remaining
-    capacity, so one oversized batch cannot livelock).  The remaining
-    knobs configure each worker's in-process
-    :class:`~repro.serve.server.QueryServer`.
+    capacity, so one oversized batch cannot livelock).  ``cache_size``
+    sizes each worker's result cache.
     """
 
     def __init__(
@@ -298,28 +295,17 @@ class ShardedQueryServer:
         *,
         processes: int = 4,
         max_queue: int = 1024,
-        max_batch: int = 64,
-        max_delay: float = 0.002,
         cache_size: int = 4096,
         artifact_path=None,
         mp_context=None,
     ) -> None:
-        if np is None:  # pragma: no cover - numpy ships in CI images
-            raise RuntimeError(
-                "ShardedQueryServer requires numpy for pair-array frames"
-            )
         if processes < 1:
             raise ValueError("processes must be at least 1")
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         self.processes = processes
         self.max_queue = max_queue
-        self._options = {
-            "max_queue": max_queue,
-            "max_batch": max_batch,
-            "max_delay": max_delay,
-            "cache_size": cache_size,
-        }
+        self._options = {"cache_size": cache_size}
         self._flat = _flat_store_of(source)
         self._oracle = (
             source
@@ -400,10 +386,11 @@ class ShardedQueryServer:
         """Shut the fleet down; ``drain`` (default) finishes in-flight
         frames first.
 
-        Every worker gets a shutdown handshake (its in-process server
-        drains its own backlog before acking); a worker that does not
-        ack in time is terminated.  The owned shared-memory segment is
-        closed and unlinked last, so ``/dev/shm`` ends clean.
+        Every worker gets a shutdown handshake (it serves frames
+        synchronously, so nothing is left to drain when it acks); a
+        worker that does not ack in time is terminated.  The owned
+        shared-memory segment is closed and unlinked last, so
+        ``/dev/shm`` ends clean.
         """
         with self._lifecycle:
             if not self._running:
@@ -729,27 +716,22 @@ class ShardedQueryServer:
         """Fleet-wide :class:`ServerStats`.
 
         Pair tallies (requests / responses / errors / overloads) and
-        the width percentiles are the parent's own; cache hits, batch
-        counts, and coalesced pairs are polled from each live worker's
-        in-process server and summed (a respawned worker restarts its
-        share from zero).
+        the width percentiles are the parent's own; cancelled pairs,
+        cache hits, batch counts, and coalesced pairs are polled from
+        each live worker's pipeline and summed (a respawned worker
+        restarts its share from zero).
         """
         with self._stats_lock:
             snapshot = dict(self._stats)
-        cache_hits = self._final_worker_stats["cache_hits"]
-        batches = self._final_worker_stats["batches"]
-        coalesced = self._final_worker_stats["coalesced"]
+        summed = {name: self._final_worker_stats[name] for name in _SUMMED}
         for worker in self._workers:
             polled = self._poll_stats(worker)
             if polled is not None:
-                cache_hits += polled["cache_hits"]
-                batches += polled["batches"]
-                coalesced += polled["coalesced"]
+                for name in _SUMMED:
+                    summed[name] += polled[name]
         hist = self._width_hist
         return ServerStats(
-            cache_hits=cache_hits,
-            batches=batches,
-            coalesced=coalesced,
+            **summed,
             batch_width_p50=hist.percentile(0.50) or 0.0,
             batch_width_p95=hist.percentile(0.95) or 0.0,
             **snapshot,

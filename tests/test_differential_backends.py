@@ -241,8 +241,6 @@ class TestPinnedCorpus:
                 with QueryServer(
                     flat_oracle,
                     max_queue=100_000,
-                    max_batch=8,
-                    max_delay=0.001,
                 ) as server:
                     threads = [
                         threading.Thread(target=client, args=(i, server))
@@ -288,8 +286,6 @@ class TestPinnedCorpus:
 
         with QueryServer(
             HubLabelOracle(flat, backend="flat"),
-            max_batch=32,
-            max_delay=0.001,
         ) as server:
             threads = [
                 threading.Thread(target=client, args=(i,))

@@ -95,7 +95,7 @@ class TestServingDoc:
         text = (ROOT / "docs" / "serving.md").read_text()
         for needle in (
             "QueryServer",
-            "MicroBatcher",
+            "BatchTicket",
             "ResultCache",
             "labeling_digest",
             "ServerOverloadError",

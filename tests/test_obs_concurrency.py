@@ -217,8 +217,6 @@ class TestShardedAdmissionConcurrency:
         server = QueryServer(
             oracle,
             max_queue=48,
-            max_batch=8,
-            max_delay=0.0005,
             cache_size=0,
             shards=4,
             dispatchers=2,

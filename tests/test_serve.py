@@ -1,4 +1,4 @@
-"""The serving layer: coalescer, result cache, and QueryServer.
+"""The serving layer: result cache and QueryServer.
 
 The concurrency contract under test is the one the whole repo is built
 around: the server adds threads, queues, batching, and caching -- and
@@ -29,7 +29,6 @@ from repro.perf.flat import FlatHubLabeling
 from repro.runtime import DomainError, ResilientOracle, ServerOverloadError
 from repro.serve import (
     MISS,
-    MicroBatcher,
     QueryServer,
     ResultCache,
     labeling_digest,
@@ -60,60 +59,60 @@ def ground(served_labeling):
 
 
 class _StallOracle:
-    """Blocks every query until released -- fills queues on demand."""
+    """Blocks every query until released -- fills queues on demand.
+
+    ``entered`` is set once a dispatcher is inside the oracle, so a test
+    can stage "one call in flight, the rest queued" without sleeping.
+    """
 
     def __init__(self):
         self.release = threading.Event()
+        self.entered = threading.Event()
         self.served = []
 
     def query(self, u, v):
+        self.entered.set()
         self.release.wait()
         self.served.append((u, v))
         return float(u + v)
 
     def batch_query(self, pairs):
+        self.entered.set()
         self.release.wait()
         self.served.extend(pairs)
         return [float(u + v) for u, v in pairs]
 
 
-class TestMicroBatcher:
-    def test_size_trigger(self):
-        batcher = MicroBatcher(3, 10.0)
-        assert batcher.add("a", 0.0) is None
-        assert batcher.add("b", 0.0) is None
-        assert batcher.add("c", 0.0) == ["a", "b", "c"]
-        assert len(batcher) == 0
-        assert batcher.deadline is None
+class _GatedOracle:
+    """A labeled oracle whose batch calls wait for ``release``.
 
-    def test_deadline_anchored_to_first_item(self):
-        batcher = MicroBatcher(100, 1.0)
-        batcher.add("a", 5.0)
-        batcher.add("b", 5.9)  # trickle must not postpone the flush
-        assert batcher.deadline == 6.0
-        assert batcher.poll(5.99) is None
-        assert batcher.poll(6.0) == ["a", "b"]
+    It keeps the inner oracle's packed keys and array hand-off, so the
+    dispatcher's numpy merge path is the one under test.
+    """
 
-    def test_flush_takes_everything(self):
-        batcher = MicroBatcher(10, 1.0)
-        batcher.add(1, 0.0)
-        batcher.add(2, 0.0)
-        assert batcher.flush() == [1, 2]
-        assert batcher.flush() == []
+    def __init__(self, inner):
+        self.inner = inner
+        self.release = threading.Event()
+        self.entered = threading.Event()
+        self.calls = []
 
-    def test_poll_empty_is_none(self):
-        assert MicroBatcher(4, 0.5).poll(1e9) is None
+    @property
+    def labeling(self):
+        return self.inner.labeling
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(0, 1.0)
-        with pytest.raises(ValueError):
-            MicroBatcher(1, -0.1)
+    @property
+    def accepts_pair_arrays(self):
+        return self.inner.accepts_pair_arrays
 
-    def test_zero_delay_flushes_on_first_poll(self):
-        batcher = MicroBatcher(100, 0.0)
-        batcher.add("x", 7.0)
-        assert batcher.poll(7.0) == ["x"]
+    def query(self, u, v):
+        return self.inner.query(u, v)
+
+    def batch_query(self, pairs):
+        self.entered.set()
+        self.release.wait()
+        rows = pairs.tolist() if hasattr(pairs, "tolist") else pairs
+        self.calls.append([tuple(row) for row in rows])
+        return self.inner.batch_query(pairs)
 
 
 class TestResultCache:
@@ -156,6 +155,15 @@ class TestResultCache:
         assert cache.put("k", 2, generation="new")
         assert cache.get("k") == 2
 
+    def test_stale_generation_get_misses(self):
+        cache = ResultCache(4)
+        cache.rekey("new")
+        cache.put("k", 1)
+        assert cache.get("k", "old") is MISS
+        assert cache.get_many(["k", "j"], "old") == [MISS, MISS]
+        assert cache.get("k", "new") == 1
+        assert cache.get_many(["k", "j"], "new") == [1, MISS]
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(-1)
@@ -175,7 +183,7 @@ class TestQueryServer:
     def test_answers_match_ground_truth(self, flat_oracle, ground):
         n = 60
         pairs = [(u, v) for u in range(0, n, 3) for v in range(0, n, 4)]
-        with QueryServer(flat_oracle, max_batch=8, max_delay=0.001) as server:
+        with QueryServer(flat_oracle) as server:
             got = server.batch(pairs)
         for (u, v), answer in zip(pairs, got):
             want = ground(u, v)
@@ -195,23 +203,37 @@ class TestQueryServer:
         with pytest.raises(RuntimeError):
             server.submit(0, 1)
 
-    def test_stop_drains_pending_requests(self, flat_oracle):
-        # A huge delay parks requests in the batcher; stop() must still
-        # flush and answer every accepted future.
-        server = QueryServer(flat_oracle, max_batch=10_000, max_delay=30.0)
-        with server:
-            futures = [server.submit(0, v) for v in range(25)]
+    def test_stop_drains_pending_requests(self):
+        # The dispatcher is held inside the oracle while 25 requests
+        # queue, and stop() starts before it is let go: only the drain
+        # in stop() can answer them.
+        stalled = _StallOracle()
+        server = QueryServer(stalled)
+        server.start()
+        first = server.submit(1, 2)
+        assert stalled.entered.wait(5)
+        futures = [server.submit(0, v) for v in range(25)]
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        while server.running:
+            time.sleep(0.001)
+        assert not any(f.done() for f in futures)
+        stalled.release.set()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        assert first.result(timeout=0) == 3.0
         assert all(f.done() for f in futures)
         assert [f.exception() for f in futures] == [None] * 25
+        assert [f.result() for f in futures] == [float(v) for v in range(25)]
 
     def test_stop_without_drain_cancels(self):
         stalled = _StallOracle()
-        server = QueryServer(stalled, max_batch=1, max_delay=0.0)
+        server = QueryServer(stalled)
         server.start()
         # The dispatcher blocks inside the first query; the rest queue.
         first = server.submit(1, 2)
+        assert stalled.entered.wait(5)
         backlog = [server.submit(3, v) for v in range(5)]
-        time.sleep(0.05)
         stopper = threading.Thread(
             target=server.stop, kwargs={"drain": False}
         )
@@ -226,7 +248,7 @@ class TestQueryServer:
 
     def test_overload_raises_typed_error(self, metrics_registry):
         stalled = _StallOracle()
-        server = QueryServer(stalled, max_queue=2, max_batch=1, max_delay=0.0)
+        server = QueryServer(stalled, max_queue=2)
         server.start()
         try:
             overloaded = None
@@ -251,7 +273,7 @@ class TestQueryServer:
             assert future.exception(timeout=1) is None
 
     def test_cache_serves_repeats_without_oracle(self, flat_oracle, ground):
-        with QueryServer(flat_oracle, max_batch=4, max_delay=0.0) as server:
+        with QueryServer(flat_oracle) as server:
             first = server.query(1, 2)
             baseline = server.stats()
             again = [server.query(1, 2) for _ in range(5)]
@@ -270,9 +292,10 @@ class TestQueryServer:
 
     def test_duplicate_pairs_coalesce_to_one_backend_query(self):
         stalled = _StallOracle()
-        server = QueryServer(stalled, max_batch=64, max_delay=10.0,
-                             cache_size=0)
+        server = QueryServer(stalled, cache_size=0)
         server.start()
+        server.submit(0, 1)  # holds the dispatcher while the rest queue
+        assert stalled.entered.wait(5)
         futures = [server.submit(4, 5) for _ in range(8)]
         stalled.release.set()
         server.stop()
@@ -291,13 +314,22 @@ class TestQueryServer:
             assert server.query(0, 7) == ground(0, 7)
 
     def test_per_pair_error_isolation(self, flat_oracle, ground):
-        # One out-of-domain pair fails the batch call; its batch-mates
-        # must still get answers, and only it carries the error.
-        with QueryServer(
-            flat_oracle, max_batch=10_000, max_delay=30.0
-        ) as server:
+        # One out-of-domain pair is drained in the same group as six
+        # good ones.  Its key is a tuple, never merged with the packed
+        # keys, so it is asked on its own: its group-mates still get
+        # answers, and only it carries the error.
+        gated = _GatedOracle(flat_oracle)
+        server = QueryServer(gated)
+        server.start()
+        try:
+            server.submit(7, 8)
+            assert gated.entered.wait(5)
             good = [server.submit(v, v + 1) for v in range(6)]
             bad = server.submit(0, 10_000)
+        finally:
+            gated.release.set()
+            server.stop()
+        assert server.stats().batches == 2
         for v, future in enumerate(good):
             assert future.result(timeout=1) == ground(v, v + 1)
         with pytest.raises(DomainError):
@@ -340,7 +372,7 @@ class TestQueryServer:
             assert server.generation != before
 
     def test_request_counters_add_up(self, flat_oracle, metrics_registry):
-        with QueryServer(flat_oracle, max_batch=4, max_delay=0.0) as server:
+        with QueryServer(flat_oracle) as server:
             pairs = [(u, u + 1) for u in range(10)]
             server.batch(pairs)  # cold round: all misses, all answered
             server.batch(pairs)  # two warm rounds: 20 guaranteed hits
@@ -371,6 +403,190 @@ class TestQueryServer:
         with pytest.raises(ValueError):
             QueryServer(flat_oracle, max_queue=0)
 
+    def test_distinct_submits_behind_a_stall_share_one_call(
+        self, flat_oracle, ground
+    ):
+        gated = _GatedOracle(flat_oracle)
+        pairs = [(u, (3 * u + 1) % 60) for u in range(40)]
+        server = QueryServer(gated, cache_size=0)
+        server.start()
+        try:
+            first = server.submit(7, 8)
+            assert gated.entered.wait(5)
+            futures = [server.submit(u, v) for u, v in pairs]
+        finally:
+            gated.release.set()
+            server.stop()
+        assert first.result(timeout=5) == ground(7, 8)
+        for (u, v), future in zip(pairs, futures):
+            answer = future.result(timeout=5)
+            assert answer == ground(u, v)
+            assert type(answer) is type(ground(u, v))
+        # The stalled call, then every queued submit in one merged call.
+        assert len(gated.calls) == 2
+        assert sorted(gated.calls[1]) == sorted(pairs)
+
+    def test_mixed_dispatch_fails_only_the_bad_future(
+        self, flat_oracle, ground
+    ):
+        gated = _GatedOracle(flat_oracle)
+        server = QueryServer(gated, cache_size=0)
+        server.start()
+        try:
+            server.submit(7, 8)
+            assert gated.entered.wait(5)
+            good = [server.submit(v, v + 2) for v in range(5)]
+            bad = server.submit(0, 10_000)
+            ticket = server.submit_batch([1, 2, 3], [10, 20, 30])
+        finally:
+            gated.release.set()
+            server.stop()
+        for v, future in enumerate(good):
+            assert future.result(timeout=5) == ground(v, v + 2)
+        with pytest.raises(DomainError):
+            bad.result(timeout=5)
+        assert ticket.result(timeout=5) == [
+            ground(1, 10), ground(2, 20), ground(3, 30)
+        ]
+        stats = server.stats()
+        assert stats.errors == 1
+        assert stats.requests == stats.responses + stats.errors == 10
+
+    def test_failed_merged_call_is_retried_ticket_by_ticket(self):
+        class _Picky(_StallOracle):
+            """Rejects one pair, in batch and scalar calls alike."""
+
+            def query(self, u, v):
+                if (u, v) == (9, 9):
+                    raise ValueError("bad pair")
+                return super().query(u, v)
+
+            def batch_query(self, pairs):
+                if (9, 9) in pairs:
+                    raise ValueError("bad pair")
+                return super().batch_query(pairs)
+
+        picky = _Picky()
+        server = QueryServer(picky, cache_size=0)
+        server.start()
+        try:
+            server.submit(0, 1)
+            assert picky.entered.wait(5)
+            good = [server.submit(v, 1) for v in range(4)]
+            bad = server.submit(9, 9)
+            ticket = server.submit_batch([2, 3], [5, 5])
+        finally:
+            picky.release.set()
+            server.stop()
+        assert [f.result(timeout=5) for f in good] == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError):
+            bad.result(timeout=5)
+        assert ticket.result(timeout=5) == [7.0, 8.0]
+
+    def test_swap_to_a_new_vertex_count_never_aliases_keys(
+        self, flat_oracle
+    ):
+        # Requests queued under n = 60 are served after a swap to an
+        # n = 30 oracle: their packed keys (60u + v) must neither merge
+        # nor cache under the new key space, where 60u + v means the
+        # pair (2u, v).
+        small = pruned_landmark_labeling(random_sparse_graph(30, seed=7))
+        truth = HubLabelOracle(small, backend="dict")
+        gated = _GatedOracle(flat_oracle)
+        held, gate = threading.Event(), threading.Event()
+
+        def hold(_):
+            held.set()
+            gate.wait(5)
+
+        pairs = [(u, (7 * u) % 30) for u in range(1, 15)]
+        server = QueryServer(gated)
+        server.start()
+        try:
+            first = server.submit(0, 1)
+            assert gated.entered.wait(5)
+            first.add_done_callback(hold)  # parks the dispatcher unlocked
+            gated.release.set()
+            assert held.wait(5)
+            futures = [server.submit(u, v) for u, v in pairs]
+            server.set_oracle(truth)
+        finally:
+            gate.set()
+        try:
+            for (u, v), future in zip(pairs, futures):
+                assert future.result(timeout=5) == truth.query(u, v).distance
+            for u, v in pairs:
+                want = truth.query(2 * u, v).distance
+                assert server.query(2 * u, v, timeout=5) == want, (u, v)
+        finally:
+            server.stop()
+
+    def test_swap_between_key_and_probe_never_aliases(self, flat_oracle):
+        # A submit packs its key under n = 60; before it probes, a swap
+        # to an n = 30 oracle re-keys the cache and fills it under the
+        # new key space, where 60u + v is the pair (2u, v).  The probe
+        # must miss, not read (2u, v)'s answer.
+        small = pruned_landmark_labeling(random_sparse_graph(30, seed=7))
+        truth = HubLabelOracle(small, backend="dict")
+        u, v = next(
+            (u, v)
+            for u in range(1, 15)
+            for v in range(30)
+            if truth.query(u, v).distance != truth.query(2 * u, v).distance
+        )
+
+        class _SwapOnProbe(ResultCache):
+            swap = None
+
+            def get(self, key, generation=None):
+                swap, self.swap = self.swap, None
+                if swap is not None:
+                    swap()
+                return super().get(key, generation)
+
+        def swap():
+            server.set_oracle(truth)
+            assert server.query(2 * u, v, timeout=5) == (
+                truth.query(2 * u, v).distance
+            )
+
+        server = QueryServer(flat_oracle)
+        server._cache = _SwapOnProbe(server.cache.capacity)
+        server._cache.rekey(server.generation)
+        with server:
+            server._cache.swap = swap
+            answer = server.query(u, v, timeout=5)
+        assert answer == truth.query(u, v).distance
+
+    def test_books_balance_after_cancelling_stop(self):
+        stalled = _StallOracle()
+        server = QueryServer(stalled, cache_size=0)
+        server.start()
+        first = server.submit(1, 2)
+        assert stalled.entered.wait(5)
+        backlog = [server.submit(3, v) for v in range(10)]
+        ticket = server.submit_batch([4, 5, 6], [7, 8, 9])
+        stopper = threading.Thread(
+            target=server.stop, kwargs={"drain": False}
+        )
+        stopper.start()
+        time.sleep(0.05)
+        stalled.release.set()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        assert first.result(timeout=1) == 3.0
+        assert all(future.cancelled() for future in backlog)
+        from concurrent.futures import CancelledError
+
+        with pytest.raises(CancelledError):
+            ticket.result(timeout=0)
+        stats = server.stats()
+        assert stats.cancelled == 13
+        assert stats.requests == 14
+        assert stats.requests == (
+            stats.responses + stats.errors + stats.cancelled
+        )
+
 
 class TestThreadedSweep:
     """N worker threads, every answer graded against serial truth."""
@@ -382,9 +598,7 @@ class TestThreadedSweep:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # provoke interleavings
         try:
-            with QueryServer(
-                flat_oracle, max_batch=16, max_delay=0.001
-            ) as server:
+            with QueryServer(flat_oracle) as server:
                 report = run_loadgen(
                     server,
                     served_graph.num_vertices,
@@ -404,7 +618,7 @@ class TestThreadedSweep:
         oracle = ResilientOracle(
             served_graph, served_labeling, fallback=True, verify_sample=8
         )
-        with QueryServer(oracle, max_batch=8, max_delay=0.001) as server:
+        with QueryServer(oracle) as server:
             report = run_loadgen(
                 server,
                 served_graph.num_vertices,
@@ -441,7 +655,7 @@ class TestSubmitBatch:
         pairs = [(u, v) for u in range(0, n, 3) for v in range(0, n, 4)]
         us = [u for u, _ in pairs]
         vs = [v for _, v in pairs]
-        with QueryServer(flat_oracle, max_batch=8, max_delay=0.001) as server:
+        with QueryServer(flat_oracle) as server:
             scalar = server.batch(pairs)
             batched = server.submit_batch(us, vs).result(timeout=30)
         assert len(batched) == len(pairs)
@@ -522,7 +736,7 @@ class TestSubmitBatch:
     def test_batch_overload_is_typed_and_counted(self, metrics_registry):
         stalled = _StallOracle()
         server = QueryServer(
-            stalled, max_queue=4, max_batch=1, max_delay=0.0, cache_size=0
+            stalled, max_queue=4, cache_size=0
         )
         server.start()
         overloaded = None
@@ -548,10 +762,10 @@ class TestSubmitBatch:
 
     def test_stop_without_drain_fails_pending_tickets(self):
         stalled = _StallOracle()
-        server = QueryServer(stalled, max_queue=64, max_batch=1, cache_size=0)
+        server = QueryServer(stalled, max_queue=64, cache_size=0)
         server.start()
         first = server.submit_batch([1], [2])
-        time.sleep(0.05)  # dispatcher now blocked inside the oracle
+        assert stalled.entered.wait(5)  # dispatcher blocked in the oracle
         backlog = [server.submit_batch([3, 4], [5, 6]) for _ in range(5)]
         stalled.release.set()
         server.stop(drain=False)
@@ -566,7 +780,7 @@ class TestSubmitBatch:
                 pass
 
     def test_warm_cache_resolves_inline(self, flat_oracle):
-        with QueryServer(flat_oracle, max_batch=4) as server:
+        with QueryServer(flat_oracle) as server:
             server.submit_batch([1, 2, 3], [4, 5, 6]).result(timeout=30)
             batches_before = server.stats().batches
             ticket = server.submit_batch([1, 2, 3], [4, 5, 6])
@@ -614,8 +828,7 @@ class TestSubmitBatch:
 
     def test_multi_dispatcher_smoke(self, flat_oracle, ground):
         with QueryServer(
-            flat_oracle, shards=4, dispatchers=2, max_batch=8,
-            max_delay=0.001, cache_size=0,
+            flat_oracle, shards=4, dispatchers=2, cache_size=0,
         ) as server:
             report = run_loadgen(
                 server,
@@ -640,7 +853,7 @@ class TestSubmitBatch:
         # not one stripe's slice: admission overflows to other shards.
         stalled = _StallOracle()
         server = QueryServer(
-            stalled, max_queue=8, shards=4, max_batch=1, cache_size=0
+            stalled, max_queue=8, shards=4, cache_size=0
         )
         server.start()
         futures = []
@@ -660,7 +873,7 @@ class TestSubmitBatch:
 
 class TestLoadgenBatchPath:
     def test_batched_loadgen_matches_ground_truth(self, flat_oracle, ground):
-        with QueryServer(flat_oracle, max_batch=32, cache_size=0) as server:
+        with QueryServer(flat_oracle, cache_size=0) as server:
             report = run_loadgen(
                 server,
                 60,
@@ -677,23 +890,3 @@ class TestLoadgenBatchPath:
         with QueryServer(flat_oracle) as server:
             with pytest.raises(ValueError):
                 run_loadgen(server, 60, batch_size=0)
-
-
-class TestMicroBatcherAddMany:
-    def test_add_many_matches_repeated_add(self):
-        reference = MicroBatcher(3, 1.0)
-        bulk = MicroBatcher(3, 1.0)
-        items = list(range(8))
-        singles = []
-        for item in items:
-            batch = reference.add(item, 5.0)
-            if batch:
-                singles.append(batch)
-        assert bulk.add_many(items, 5.0) == singles
-        assert len(bulk) == len(reference)
-        assert bulk.deadline == reference.deadline
-
-    def test_add_many_anchors_deadline_to_first_item(self):
-        batcher = MicroBatcher(100, 1.0)
-        assert batcher.add_many([1, 2, 3], 7.0) == []
-        assert batcher.deadline == 8.0

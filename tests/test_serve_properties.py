@@ -1,101 +1,19 @@
-"""Property-based tests for the serving layer's pure data structures.
+"""Property-based tests for the serving layer.
 
-The coalescer and the result cache are the two pieces the dispatcher's
-correctness leans on, and both are deliberately clock-free / pure so
-hypothesis can drive *arbitrary* interleavings deterministically:
-
-* :class:`MicroBatcher` -- any sequence of ``add`` / ``poll`` / ``flush``
-  events at any (monotone) timestamps partitions the item stream: no
-  item is lost, duplicated, or reordered, no batch exceeds
-  ``max_batch``, and no item waits past its deadline unobserved;
-* :class:`ResultCache` -- behaves exactly like a capacity-bounded model
-  dict under any operation sequence, and a generation mismatch can
-  never smuggle a stale answer in (the ``set_oracle`` guard).
+The result cache is the piece the dispatcher's correctness leans on,
+and it is deliberately clock-free / pure so hypothesis can drive
+*arbitrary* interleavings deterministically: :class:`ResultCache`
+behaves exactly like a capacity-bounded model dict under any operation
+sequence, and a generation mismatch can never smuggle a stale answer
+in (the ``set_oracle`` guard).  Further down, the same style drives a
+live server: ``submit_batch`` answers exactly like per-pair ``submit``,
+swaps are whole-ticket atomic, and skewed workloads stay exact.
 """
-
-import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import MISS, MicroBatcher, ResultCache
-
-# ---------------------------------------------------------------------------
-# MicroBatcher
-# ---------------------------------------------------------------------------
-
-#: One abstract event: ("add",) consumes the next item from a counter,
-#: ("poll",) checks the deadline, ("tick", dt) advances the clock.
-_events = st.lists(
-    st.one_of(
-        st.just(("add",)),
-        st.just(("poll",)),
-        st.just(("flush",)),
-        st.tuples(st.just("tick"), st.floats(0.0, 2.0, allow_nan=False)),
-    ),
-    max_size=60,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    events=_events,
-    max_batch=st.integers(1, 7),
-    max_delay=st.floats(0.0, 1.0, allow_nan=False),
-)
-def test_batcher_partitions_the_stream(events, max_batch, max_delay):
-    batcher = MicroBatcher(max_batch, max_delay)
-    counter = itertools.count()
-    now = 0.0
-    submitted = []
-    flushed = []
-
-    def take(batch):
-        if batch:
-            assert 0 < len(batch) <= max_batch
-            flushed.extend(batch)
-
-    for event in events:
-        if event[0] == "tick":
-            now += event[1]
-        elif event[0] == "add":
-            item = next(counter)
-            submitted.append(item)
-            take(batcher.add(item, now))
-        elif event[0] == "poll":
-            take(batcher.poll(now))
-        else:
-            take(batcher.flush())
-        # Size trigger: the pending batch never reaches max_batch.
-        assert len(batcher) < max_batch
-    take(batcher.flush())
-    # Every item added came back exactly once, in arrival order.
-    assert flushed == submitted
-    assert len(batcher) == 0 and batcher.deadline is None
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    gaps=st.lists(st.floats(0.0, 0.4, allow_nan=False), max_size=30),
-    max_delay=st.floats(0.0, 1.0, allow_nan=False),
-)
-def test_batcher_deadline_is_anchored_to_oldest_item(gaps, max_delay):
-    """A steady trickle cannot postpone the flush past first+max_delay."""
-    batcher = MicroBatcher(10_000, max_delay)  # size never triggers
-    now = 0.0
-    anchor = None
-    for index, gap in enumerate(gaps):
-        now += gap
-        if anchor is None:
-            anchor = now
-        batcher.add(index, now)
-        assert batcher.deadline == anchor + max_delay
-        batch = batcher.poll(now)
-        if batch is not None:
-            # poll only fires at/after the anchored deadline.
-            assert now >= anchor + max_delay
-            anchor = None
-
+from repro.serve import MISS, ResultCache
 
 # ---------------------------------------------------------------------------
 # ResultCache vs a model
@@ -272,7 +190,7 @@ _pair_lists = st.lists(
 def test_submit_batch_equals_per_pair_submit(pairs):
     """Same pairs, both doors, byte-identical answers (INF included)."""
     oracle = HubLabelOracle(_ISLAND_FLAT, backend="flat")
-    with QueryServer(oracle, max_batch=8, max_delay=0.001) as server:
+    with QueryServer(oracle) as server:
         scalar = [server.submit(u, v).result(timeout=30) for u, v in pairs]
         batched = server.submit_batch(
             [u for u, _ in pairs], [v for _, v in pairs]
@@ -317,7 +235,7 @@ def test_set_oracle_between_batches_never_serves_stale(pairs, swap_first):
     )
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
-    with QueryServer(first, max_batch=4, max_delay=0.001) as server:
+    with QueryServer(first) as server:
         before = server.submit_batch(us, vs).result(timeout=30)
         assert server.set_oracle(second)  # different digest: cache cleared
         after = server.submit_batch(us, vs).result(timeout=30)
@@ -345,9 +263,7 @@ def test_concurrent_swaps_yield_only_real_answers():
     want_a = [oracle_a.query(u, v).distance for u, v in pairs]
     want_b = [oracle_b.query(u, v).distance for u, v in pairs]
     stop = threading.Event()
-    with QueryServer(
-        oracle_a, max_batch=16, max_delay=0.0005, cache_size=0
-    ) as server:
+    with QueryServer(oracle_a, cache_size=0) as server:
 
         def swapper():
             flip = False
@@ -459,7 +375,7 @@ class TestSkewedWorkloadsThroughBothDoors:
     @pytest.mark.parametrize("batch_size", [None, 16])
     def test_skewed_answers_match_oracle(self, distribution, batch_size):
         graph, flat, ground = self._setup()
-        with QueryServer(flat, max_batch=32, max_delay=0.001) as server:
+        with QueryServer(flat) as server:
             report = run_loadgen(
                 server,
                 graph.num_vertices,
@@ -480,9 +396,7 @@ class TestSkewedWorkloadsThroughBothDoors:
         graph, flat, ground = self._setup()
         rates = {}
         for distribution in ("uniform", "hotspot"):
-            with QueryServer(
-                flat, max_batch=32, max_delay=0.001, cache_size=4096
-            ) as server:
+            with QueryServer(flat, cache_size=4096) as server:
                 report = run_loadgen(
                     server,
                     graph.num_vertices,

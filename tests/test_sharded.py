@@ -167,6 +167,24 @@ class TestLifecycle:
         assert stats.batches >= 1
         assert stats.cache_hits >= 1
 
+    def test_books_balance_after_cancelling_stop(self, built):
+        graph, _, flat = built
+        n = graph.num_vertices
+        fleet = ShardedQueryServer(
+            HubLabelOracle(flat, backend="flat"), processes=2
+        )
+        fleet.start()
+        for u in range(10):
+            fleet.submit(u, (u + 3) % n).result()
+        fleet.submit_batch([1, 2, 3], [4, 5, 6]).result()
+        fleet.submit(0, n + 5)  # out of domain: fails its own future
+        fleet.stop(drain=False)
+        stats = fleet.stats()
+        assert stats.requests == 13
+        assert stats.requests == (
+            stats.responses + stats.errors + stats.cancelled
+        )
+
     def test_stop_is_idempotent_and_restartable(self, built):
         _, _, flat = built
         fleet = ShardedQueryServer(

@@ -53,7 +53,7 @@ def test_soak_chaos_load_zero_wrong_zero_dropped(kind):
     )
 
     with QueryServer(
-        oracle, max_queue=4096, max_batch=32, max_delay=0.002
+        oracle, max_queue=4096
     ) as server:
         report = run_loadgen(
             server,

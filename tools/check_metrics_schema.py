@@ -123,7 +123,7 @@ def run_workload() -> set:
                 return self.inner.query(u, v)
 
         stalled = _Stall(HubLabelOracle(labeling))
-        server = QueryServer(stalled, max_queue=2, max_batch=1)
+        server = QueryServer(stalled, max_queue=2)
         server.start()
         futures = []
         try:
