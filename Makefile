@@ -1,7 +1,7 @@
 # Convenience targets.  The environment is offline: editable installs go
 # through setup.cfg (legacy path), never an isolated PEP-517 build.
 
-.PHONY: install test test-slow soak bench bench-full bench-tables build-bench serve-smoke shm-bench churn-bench experiments examples coverage chaos stats schema corpus-check zoo-bench clean
+.PHONY: install test test-slow soak bench bench-full bench-tables build-bench serve-smoke shm-bench churn-bench perfbench-smoke experiments examples coverage chaos stats schema corpus-check zoo-bench clean
 
 install:
 	pip install -e .
@@ -87,6 +87,12 @@ churn-bench:
 	python -m repro mutate --generator sparse:100 --ops 16 --verify-each
 	python -m repro loadgen --generator sparse:200 --clients 4 --requests 400 --churn 16 --processes 2
 	pytest tests/test_dynamic.py
+
+# Repository-benchmark smoke: one short traced ba-churn run.  Every
+# answer is graded against BFS and the repaired labeling against a
+# rebuild; exit 0 only if all of them agree.
+perfbench-smoke:
+	python3 perfbench/run.py --workload ba-churn --seed 1 --seconds 1 --trace 1
 
 examples:
 	python examples/quickstart.py

@@ -3,11 +3,13 @@
 Hub labelings are expensive to build -- the hardness results reproduced
 by this repository are exactly why -- so a mutating graph cannot afford
 a from-scratch rebuild per edge edit.  :class:`DynamicHubLabeling`
-wraps a graph plus its PLL labeling and repairs the labeling in place
-on ``insert_edge`` / ``delete_edge``: the affected hub roots are
-detected with label queries, their stale entries invalidated, and a
-rank-restricted pruned traversal re-run from each, falling back to a
-cached full rebuild once a staleness/work budget is exceeded.  Every
+wraps a graph plus its PLL labeling, held as one immutable
+:class:`~repro.perf.flat.FlatHubLabeling`, and repairs it on
+``insert_edge`` / ``delete_edge`` into a new store: the affected hub
+roots are detected from two kernel distance rows, their entries masked
+out of the CSR, a rank-restricted pruned traversal re-run from each,
+and the results spliced into a fresh CSR, falling back to a cached
+full rebuild once a staleness/work budget is exceeded.  Every
 repaired labeling answers exactly like a from-scratch rebuild on the
 mutated graph (value and type, including ``INF``).
 

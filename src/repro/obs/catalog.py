@@ -73,6 +73,7 @@ DYNAMIC_REBUILDS = "dynamic.rebuilds"
 DYNAMIC_AFFECTED_ROOTS = "dynamic.affected_roots"
 DYNAMIC_LABELS_REPAIRED = "dynamic.labels_repaired"
 DYNAMIC_REPAIR_LATENCY_SECONDS = "dynamic.repair_latency_seconds"
+DYNAMIC_STAGE_SECONDS = "dynamic.stage_seconds"
 
 SHM_ATTACHES = "shm.attaches"
 SHM_BYTES_MAPPED = "shm.bytes_mapped"
@@ -281,6 +282,12 @@ _SPECS = (
         DYNAMIC_REPAIR_LATENCY_SECONDS, "histogram", (),
         "wall time of each mutation's repair (rebuild fallbacks "
         "included)",
+    ),
+    MetricSpec(
+        DYNAMIC_STAGE_SECONDS, "histogram", ("stage",),
+        "wall time of one write-path stage of a mutation, observed once "
+        "per stage per edit (stage = detect, invalidate, resweep, "
+        "splice for a repair; detect, rebuild for a rebuild)",
     ),
     MetricSpec(
         SHM_ATTACHES, "counter", ("source",),

@@ -67,8 +67,9 @@ instance, seed}``.  The suites:
 * ``obs_overhead``          -- instrumented / uninstrumented wall-time
   ratio of the dict-backend ``HubLabelOracle.query`` loop (the
   uninstrumented side runs under a disabled
-  :class:`~repro.obs.registry.NullRegistry`); ``tools/bench_gate.py``
-  fails the gate above 1.10;
+  :class:`~repro.obs.registry.NullRegistry`; median ratio over 15
+  interleaved pairs, held on one CPU); ``tools/bench_gate.py`` fails
+  the gate above 1.10;
 * ``update_latency``         -- insert/delete round trips through
   :class:`~repro.dynamic.DynamicHubLabeling`'s incremental repair on a
   scratch copy of the instance (budgets opened wide, so the number is
@@ -114,9 +115,11 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.catalog import BENCH_SUITE_DURATION_SECONDS
@@ -157,6 +160,27 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+@contextmanager
+def _on_one_cpu():
+    """Hold the calling thread on one of its allowed CPUs in the block.
+
+    The previous affinity is restored on exit; a no-op where affinity
+    cannot be read or set.
+    """
+    allowed = None
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(allowed)})
+        except OSError:
+            allowed = None
+    try:
+        yield
+    finally:
+        if allowed is not None:
+            os.sched_setaffinity(0, allowed)
 
 
 def _best_time(fn, repeats: int, suite: Optional[str] = None) -> float:
@@ -644,25 +668,34 @@ def run_bench(
             query(u, v)
 
     # Repeats are interleaved (instrumented, bare, instrumented, ...)
-    # so a load spike hits both sides instead of masquerading as
-    # instrumentation cost; best-of each series is then compared.
-    overhead_repeats = max(repeats, 5)
+    # and the overhead is the median of the per-pair ratios.  A host
+    # can switch speed states within one series (on a 2-core host the
+    # same loop read ~11 ms and ~18 ms a few pairs apart); the two sides
+    # of one pair share a state, so a load spike or a slow state hits
+    # both sides instead of masquerading as instrumentation cost.
+    # Comparing each series' best instead read from 0.69x to 1.13x in
+    # full test runs.  The comparison also runs on one CPU, so the
+    # thread does not migrate mid-series.
+    overhead_repeats = max(repeats, 15)
     null_registry = NullRegistry()
-    oracle_loop()
-    instrumented_time = bare_time = float("inf")
-    for _ in range(overhead_repeats):
-        with span("bench.obs_overhead") as timer:
-            oracle_loop()
-        instrumented_time = min(instrumented_time, timer.duration)
-        previous = set_registry(null_registry)
-        try:
-            start = time.perf_counter()
-            oracle_loop()
-            bare = time.perf_counter() - start
-        finally:
-            set_registry(previous)
-        bare_time = min(bare_time, bare)
-    overhead = instrumented_time / bare_time if bare_time > 0 else 1.0
+    ratios = []
+    instrumented_time = float("inf")
+    with _on_one_cpu():
+        oracle_loop()
+        for _ in range(overhead_repeats):
+            with span("bench.obs_overhead") as timer:
+                oracle_loop()
+            instrumented_time = min(instrumented_time, timer.duration)
+            previous = set_registry(null_registry)
+            try:
+                start = time.perf_counter()
+                oracle_loop()
+                bare = time.perf_counter() - start
+            finally:
+                set_registry(previous)
+            if bare > 0:
+                ratios.append(timer.duration / bare)
+    overhead = statistics.median(ratios) if ratios else 1.0
     results["obs_overhead"] = entry(
         "overhead", round(overhead, 4), "x", pairs=len(dict_pairs)
     )

@@ -56,7 +56,9 @@ class FlatHubLabeling:
     :class:`~repro.oracles.oracle.HubLabelOracle` and
     :class:`~repro.core.fastquery.SortedHubIndex` can consume either
     store.  Mutation methods are deliberately absent: convert back to
-    :class:`HubLabeling` to edit.
+    :class:`HubLabeling` to edit, or let
+    :class:`~repro.dynamic.DynamicHubLabeling` produce a new store per
+    edge edit.
     """
 
     __slots__ = ("_offsets", "_hubs", "_dists", "_accel")
@@ -347,6 +349,51 @@ class FlatHubLabeling:
                 INF if value >= big else value for value in row.tolist()
             ]
         return self._batch_query_merge([(source, t) for t in target_list])
+
+    def distance_row(self, source: int):
+        """``d(source, v)`` for every vertex ``v`` as a float64 ndarray.
+
+        ``INF`` where no hub meets.  Served by the row kernel when the
+        labeling qualifies, by the store's merge path otherwise; the
+        values equal :meth:`query`'s exactly (integral distances are
+        exact in float64).  Safe to call while another thread serves
+        the store: the kernel runs on its own scratch vector.  Requires
+        NumPy.
+        """
+        import numpy as np
+
+        self._check_vertex(source)
+        accel = self._accelerator()
+        if accel is None:
+            return np.array(
+                self._batch_query_merge(
+                    [(source, t) for t in range(self.num_vertices)]
+                ),
+                dtype=np.float64,
+            )
+        row = accel.query_row(source, private=True)
+        out = row.astype(np.float64)
+        out[row >= accel._big] = INF
+        return out
+
+    def arrays(self):
+        """The CSR triple as read-only NumPy views, without a copy.
+
+        Returns ``(offsets, hubs, dists)`` as int64 / int64 / float64
+        arrays over the store's own memory.  Requires NumPy.
+        """
+        import numpy as np
+
+        views = []
+        for values, dtype in (
+            (self._offsets, np.int64),
+            (self._hubs, np.int64),
+            (self._dists, np.float64),
+        ):
+            view = _as_view(np, values, dtype).view()
+            view.flags.writeable = False
+            views.append(view)
+        return tuple(views)
 
     def _check_pairs(self, pairs: Sequence[Tuple[int, int]]) -> None:
         n = self.num_vertices

@@ -111,17 +111,23 @@ class BatchAccelerator:
     # ------------------------------------------------------------------
     # One-to-many row kernel
     # ------------------------------------------------------------------
-    def query_row(self, source: int, targets=None):
+    def query_row(self, source: int, targets=None, *, private=False):
         """``d(source, v)`` for each target, as an int64 array.
 
         ``targets=None`` means every vertex.  Entries without a meeting
-        hub hold ``self._big`` (callers mask to INF).
+        hub hold ``self._big`` (callers mask to INF).  The shared dense
+        scratch vector is only safe under the caller's serialisation
+        (a server calls its oracle under one lock); ``private=True``
+        uses a fresh one, for callers outside that lock.
         """
         np = _np
         offsets, lens = self._offsets, self._lens
         s0, s1 = offsets[source], offsets[source + 1]
         source_hubs = self._hubs[s0:s1]
-        dense = self._dense
+        if private:
+            dense = np.full(self._n, _SENTINEL, dtype=np.uint16)
+        else:
+            dense = self._dense
         dense[source_hubs] = self._dists[s0:s1]
         try:
             if targets is None:

@@ -19,6 +19,7 @@ stale answer.  Three independent harnesses enforce it:
 import json
 import math
 import pathlib
+import sys
 import threading
 
 import pytest
@@ -40,12 +41,15 @@ from repro.graphs.traversal import INF
 from repro.obs.catalog import (
     DYNAMIC_INSERTS,
     DYNAMIC_REBUILDS,
+    DYNAMIC_REPAIR_LATENCY_SECONDS,
+    DYNAMIC_STAGE_SECONDS,
     SERVE_GENERATION,
 )
 from repro.obs.registry import get_registry
 from repro.oracles.oracle import HubLabelOracle
 from repro.perf.build import build_flat_labels
 from repro.perf.cache import LabelCache
+from repro.perf.flat import FlatHubLabeling
 from repro.serve import QueryServer, run_loadgen
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "data" / "mutation_corpus.json"
@@ -175,6 +179,158 @@ class TestRepairReports:
         assert registry.get(DYNAMIC_INSERTS).value == 1
         # Pre-created at zero even though no rebuild happened.
         assert registry.get(DYNAMIC_REBUILDS).value == 0
+
+
+class TestStageMetrics:
+    """dynamic.stage_seconds: one observation per stage per edit."""
+
+    @staticmethod
+    def _observed(registry):
+        stages = {}
+        for stage in ("detect", "invalidate", "resweep", "splice", "rebuild"):
+            hist = registry.get(DYNAMIC_STAGE_SECONDS, stage=stage)
+            if hist is not None:
+                stages[stage] = (hist.count, hist.sum)
+        return stages
+
+    def test_incremental_repair_stages(self, metrics_registry):
+        g = random_sparse_graph(16, seed=2)
+        dyn = DynamicHubLabeling(g, rebuild_fraction=1.0)
+        u, v = next(
+            (a, b)
+            for a in range(16)
+            for b in range(a + 1, 16)
+            if not g.has_edge(a, b)
+        )
+        assert not dyn.insert_edge(u, v).rebuilt
+        stages = self._observed(metrics_registry)
+        assert set(stages) == {"detect", "invalidate", "resweep", "splice"}
+        assert all(count == 1 for count, _ in stages.values())
+        latency = metrics_registry.get(DYNAMIC_REPAIR_LATENCY_SECONDS)
+        assert sum(total for _, total in stages.values()) <= latency.sum
+
+    def test_forced_rebuild_stages(self, metrics_registry):
+        g = random_sparse_graph(16, seed=4)
+        dyn = DynamicHubLabeling(g, rebuild_fraction=0.01)
+        u, v = next(
+            (a, b)
+            for a in range(16)
+            for b in range(a + 1, 16)
+            if not g.has_edge(a, b)
+        )
+        assert dyn.insert_edge(u, v).rebuilt
+        stages = self._observed(metrics_registry)
+        assert set(stages) == {"detect", "rebuild"}
+        assert all(count == 1 for count, _ in stages.values())
+        latency = metrics_registry.get(DYNAMIC_REPAIR_LATENCY_SECONDS)
+        assert sum(total for _, total in stages.values()) <= latency.sum
+
+
+class TestFlatStore:
+    """The labeling is one immutable flat store, replaced per edit."""
+
+    def test_flat_is_the_labeling(self):
+        g = random_sparse_graph(16, seed=20)
+        dyn = DynamicHubLabeling(g)
+        assert isinstance(dyn.labeling, FlatHubLabeling)
+        assert dyn.flat() is dyn.labeling
+        dyn.apply(mutation_script(g, 3, seed=20))
+        assert dyn.flat() is dyn.labeling
+
+    def test_handed_out_store_survives_edits(self):
+        # Hot swap relies on this: a store a server is still serving
+        # never changes under it.
+        g = random_sparse_graph(20, seed=21)
+        dyn = DynamicHubLabeling(
+            g, rebuild_fraction=1.0, staleness_budget=float("inf")
+        )
+        n = g.num_vertices
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        old = dyn.flat()
+        before = [old.query(a, b) for a, b in pairs]
+        reports = dyn.apply(mutation_script(g, 4, seed=21))
+        assert not any(rep.rebuilt for rep in reports)
+        assert dyn.flat() is not old
+        after = [old.query(a, b) for a, b in pairs]
+        assert [(x, type(x)) for x in after] == [(x, type(x)) for x in before]
+        _assert_answer_identical(dyn, "after-snapshot")
+
+    def test_repair_without_the_kernel(self):
+        # Distances of 2 * 20000 >= 32000 keep the row kernel off, so
+        # detection runs on the store's merge path.
+        g = random_weighted_graph(10, 16, seed=22)
+        heavy = Graph(g.num_vertices)
+        for a, b, w in g.edges():
+            heavy.add_edge(a, b, 20000 + w)
+        dyn = DynamicHubLabeling(
+            heavy, rebuild_fraction=1.0, staleness_budget=float("inf")
+        )
+        script = mutation_script(heavy, 6, seed=22, keep_connected=False)
+        for index, op in enumerate(script):
+            assert dyn.flat()._accelerator() is None
+            rep = dyn.apply(MutationScript(ops=(op,)))[0]
+            assert not rep.rebuilt
+            _assert_answer_identical(dyn, f"op {index} {op}")
+
+    @pytest.mark.parametrize(
+        "weighted, pinned, total",
+        [
+            (
+                False,
+                [(13, 67, 67), (21, 149, 140), (36, 214, 210),
+                 (33, 195, 203), (18, 83, 83), (36, 220, 218)],
+                228,
+            ),
+            (
+                True,
+                [(7, 16, 18), (21, 119, 117), (5, 33, 32),
+                 (8, 44, 41), (5, 14, 13), (15, 79, 82)],
+                182,
+            ),
+        ],
+    )
+    def test_repair_counts_are_pinned(self, weighted, pinned, total):
+        # Pinned from the dict-store repair this write path replaced:
+        # the same detection, the same pruning (against surviving
+        # entries plus this repair's additions, higher ranks only) and
+        # so the same entries removed and added per edit.
+        g = (
+            random_weighted_graph(30, 60, seed=32)
+            if weighted
+            else random_sparse_graph(40, seed=31)
+        )
+        dyn = DynamicHubLabeling(
+            g, rebuild_fraction=1.0, staleness_budget=float("inf")
+        )
+        reports = dyn.apply(mutation_script(g, 6, seed=31, keep_connected=False))
+        counts = [
+            (rep.affected_roots, rep.labels_removed, rep.labels_added)
+            for rep in reports
+        ]
+        assert counts == pinned
+        assert dyn.labeling.total_size() == total
+
+    def test_stub_cache_serves_rebuilds(self):
+        class LoadOrBuildOnly:
+            def __init__(self):
+                self.calls = 0
+
+            def load_or_build(self, graph, order=None):
+                self.calls += 1
+                return build_flat_labels(graph, order)
+
+        g = random_sparse_graph(14, seed=23)
+        cache = LoadOrBuildOnly()
+        dyn = DynamicHubLabeling(g, cache=cache, rebuild_fraction=0.01)
+        u, v = next(
+            (a, b)
+            for a in range(14)
+            for b in range(a + 1, 14)
+            if not g.has_edge(a, b)
+        )
+        assert dyn.insert_edge(u, v).rebuilt
+        assert cache.calls == 2  # the initial build and the rebuild
+        _assert_answer_identical(dyn, "stub-cache")
 
 
 class TestBudgetFallback:
@@ -470,6 +626,66 @@ class TestHotSwapServing:
             stop.set()
             for t in threads:
                 t.join()
+        assert wrong == []
+
+
+    def test_row_reads_stay_exact_while_edits_detect(self):
+        # Detection reads the store the server is serving.  Row-shaped
+        # tickets drive the server's row kernel on that same store, so
+        # a detection that shared the kernel's scratch vector would
+        # corrupt them.
+        graph = random_sparse_graph(80, seed=24)
+        dyn = DynamicHubLabeling(
+            graph, rebuild_fraction=1.0, staleness_budget=float("inf")
+        )
+        n = graph.num_vertices
+        u, v = max(
+            (
+                (a, b)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if not graph.has_edge(a, b)
+            ),
+            key=lambda pair: dyn.query(*pair),
+        )
+        sources, targets = [u] * n, list(range(n))
+        absent = [dyn.query(u, t) for t in targets]
+        dyn.insert_edge(u, v)
+        present = [dyn.query(u, t) for t in targets]
+        dyn.delete_edge(u, v)
+        legal = (absent, present)
+        server = QueryServer(
+            HubLabelOracle(dyn.flat(), backend="flat"),
+            cache_size=0, dispatchers=2,
+        )
+        stop = threading.Event()
+        wrong = []
+
+        def reader():
+            while not stop.is_set():
+                got = server.submit_batch(sources, targets).result(timeout=10)
+                if got not in legal:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [threading.Thread(target=reader) for _ in range(3)]
+                for t in threads:
+                    t.start()
+                for index in range(100):
+                    if index % 2:
+                        dyn.delete_edge(u, v)
+                    else:
+                        dyn.insert_edge(u, v)
+                    server.set_oracle(HubLabelOracle(dyn.flat(), backend="flat"))
+                stop.set()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
         assert wrong == []
 
 

@@ -151,6 +151,54 @@ class TestBatchEquality:
         row = flat.batch_query_from(3, targets)
         assert row == [labeling.query(3, v) for v in targets]
 
+    def test_distance_row_matches_query(self, disconnected_case):
+        labeling, flat = disconnected_case
+        n = labeling.num_vertices
+        for source in (0, 21, n - 1):
+            row = flat.distance_row(source)
+            assert row.dtype.name == "float64"
+            assert row.tolist() == [labeling.query(source, v) for v in range(n)]
+
+    def test_distance_row_leaves_shared_scratch_alone(self, connected_case):
+        # A server may be mid-way through a row-kernel call on the same
+        # store (its shared scratch vector dirty) when a writer thread
+        # asks for a distance row.
+        labeling, flat = connected_case
+        accel = flat._accelerator()
+        if accel is None:
+            pytest.skip("no row kernel")
+        n = labeling.num_vertices
+        dirty = accel._dense.copy()
+        accel._dense[:] = 0
+        try:
+            row = flat.distance_row(5)
+            assert (accel._dense == 0).all()
+        finally:
+            accel._dense[:] = dirty
+        assert row.tolist() == [labeling.query(5, v) for v in range(n)]
+
+    def test_distance_row_without_kernel(self):
+        lab = HubLabeling(3)
+        lab.add_hub(0, 0, 0)
+        lab.add_hub(1, 0, 20000)
+        lab.add_hub(1, 1, 0)
+        lab.add_hub(2, 2, 0)
+        flat = FlatHubLabeling.from_labeling(lab)
+        assert flat._accelerator() is None
+        assert flat.distance_row(1).tolist() == [20000, 0, INF]
+
+    def test_arrays_are_read_only_views(self, connected_case):
+        _, flat = connected_case
+        offsets, hubs, dists = flat.arrays()
+        assert (offsets.dtype.name, hubs.dtype.name, dists.dtype.name) == (
+            "int64", "int64", "float64",
+        )
+        assert len(offsets) == flat.num_vertices + 1
+        assert len(hubs) == len(dists) == flat.total_size()
+        assert hubs[offsets[3]:offsets[4]].tolist() == flat.hub_set(3)
+        with pytest.raises(ValueError):
+            hubs[0] = 1
+
     def test_empty_batch(self, connected_case):
         _, flat = connected_case
         assert flat.batch_query([]) == []
