@@ -88,11 +88,13 @@ churn-bench:
 	python -m repro loadgen --generator sparse:200 --clients 4 --requests 400 --churn 16 --processes 2
 	pytest tests/test_dynamic.py
 
-# Repository-benchmark smoke: one short traced ba-churn run.  Every
-# answer is graded against BFS and the repaired labeling against a
-# rebuild; exit 0 only if all of them agree.
+# Repository-benchmark smoke: one short traced ba-churn run and one
+# short hard-batch run on the paper's G(2,2).  Every answer is graded
+# against BFS and the repaired labeling against a rebuild; exit 0 only
+# if all of them agree.
 perfbench-smoke:
 	python3 perfbench/run.py --workload ba-churn --seed 1 --seconds 1 --trace 1
+	python3 perfbench/run.py --workload hard-batch --seed 1 --seconds 1 --trace 0
 
 examples:
 	python examples/quickstart.py

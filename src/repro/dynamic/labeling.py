@@ -7,7 +7,7 @@ keeps answering exactly as it did.  The repair is the same four phases
 for both mutation kinds:
 
 1. **Detect** the affected hub roots against the *pre-mutation* store,
-   from the two distance rows ``d(u, .)`` and ``d(v, .)`` (row kernel,
+   from the two distance rows ``d(u, .)`` and ``d(v, .)`` (row pass,
    or the store's merge path for labelings the kernel cannot take) and
    one vectorised comparison.  An edge ``{u, v}`` of weight ``w`` lies
    on some shortest path from root ``r`` iff ``d(r,u) + w == d(r,v)``

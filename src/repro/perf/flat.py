@@ -327,8 +327,9 @@ class FlatHubLabeling:
         """Distances from one source to many targets (``None`` = all).
 
         The source-rooted special case of :meth:`batch_query` -- the
-        shape of verification sweeps and distance-matrix rows -- served
-        by the one-to-many kernel when NumPy is available.
+        shape of verification sweeps and distance-matrix rows.  With
+        NumPy, explicit targets go through the pair kernel and
+        ``None`` through the all-vertices row pass.
         """
         self._check_vertex(source)
         n = self.num_vertices
@@ -341,9 +342,13 @@ class FlatHubLabeling:
             target_list = targets
         accel = self._accelerator()
         if accel is not None:
-            row = accel.query_row(
-                source, None if targets is None else targets
-            )
+            import numpy as np
+
+            if targets is None:
+                row = accel.query_row(source)
+            else:
+                vs = np.asarray(targets, dtype=np.int64)
+                row = accel.query_pairs(np.full(len(vs), source), vs)
             big = accel._big
             return [
                 INF if value >= big else value for value in row.tolist()
@@ -353,11 +358,11 @@ class FlatHubLabeling:
     def distance_row(self, source: int):
         """``d(source, v)`` for every vertex ``v`` as a float64 ndarray.
 
-        ``INF`` where no hub meets.  Served by the row kernel when the
+        ``INF`` where no hub meets.  Served by the row pass when the
         labeling qualifies, by the store's merge path otherwise; the
         values equal :meth:`query`'s exactly (integral distances are
-        exact in float64).  Safe to call while another thread serves
-        the store: the kernel runs on its own scratch vector.  Requires
+        exact in float64).  Safe beside other threads reading the same
+        store: every kernel call allocates its own scratch.  Requires
         NumPy.
         """
         import numpy as np
@@ -371,7 +376,7 @@ class FlatHubLabeling:
                 ),
                 dtype=np.float64,
             )
-        row = accel.query_row(source, private=True)
+        row = accel.query_row(source)
         out = row.astype(np.float64)
         out[row >= accel._big] = INF
         return out

@@ -8,29 +8,33 @@ stored distance is a non-negative integer small enough to pack (true
 for all the unweighted ``G_{b,l}`` hard instances; weighted or
 fault-perturbed labelings fall back automatically).
 
-Two exact kernels, picked per batch by the shape of the query list:
+One exact pair kernel, :meth:`BatchAccelerator.query_pairs`, serves
+every pair list, scattered or source-rooted (a row is the one-source
+case).  It groups the pairs by distinct source and walks the sources
+in blocks of ``C = max(1, 2**18 // n)``.  Each block scatters its
+sources' labels once into a ``uint16`` scratch of ``min(k, C) * n``
+cells (``k`` distinct sources) at ``slot * n + hub``, so the scratch
+never exceeds ``max(2**18, n)`` cells (512 KB when ``n <= 2**18``) and
+stays in L2.  Every target entry of the block's pairs is then one
+gather from the scratch: ``dense[slot * n + h] + dist(v, h)``; the
+written cells are reset before the next block.  After the last block
+one segmented ``minimum.reduceat`` over the target runs gives every
+pair's answer.  Pairs are taken in passes of about ``2**20`` target
+entries, which bounds the transient index arrays of large batches.
 
-* **One-to-many rows** -- when many pairs share a source ``u`` (the
-  shape of verification sweeps and distance-matrix rows), scatter
-  ``S(u)`` into a dense ``hub -> distance`` vector once, and every
-  target ``v`` is answered by one gather + add + segmented-min pass
-  over ``S(v)``: ``min_h dense[h] + dist(v, h)``.  About three linear
-  passes over the touched label entries, no per-pair alignment at all.
-* **Sort-free pair merge** -- for scattered pairs, gather each
-  endpoint's label run tagged with ``pair_index << hub_bits | hub``.
-  The two tagged arrays are *already globally sorted* (pair-major,
-  hub-ascending inside each run), so the per-pair label intersection
-  collapses into a single ``np.searchsorted`` of one side into the
-  other (NumPy's guess-based binary search is near-linear for sorted
-  needles) plus a segmented ``minimum.reduceat`` over the matched sums.
+:meth:`BatchAccelerator.query_row` keeps the one shape the pair kernel
+does not cover cheaply: one source against *every* vertex, a single
+pass over the whole store.
 
-Both return exactly what the dict store would, INF for non-intersecting
+Every call allocates its own scratch and nothing else is written after
+construction, so one store can be queried from several threads at
+once.  Answers equal the dict store's exactly, INF for non-intersecting
 pairs included.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..graphs.traversal import INF
 
@@ -43,18 +47,17 @@ __all__ = ["HAVE_NUMPY", "build_accelerator", "BatchAccelerator"]
 
 HAVE_NUMPY = _np is not None
 
-#: "absent" marker in the dense source vector; valid sums must stay
-#: below it, so the kernels require ``2 * max_distance < _SENTINEL``
-#: (and ``_SENTINEL + max_distance`` must fit uint16, which it does).
+#: "absent" marker in the scratch; valid sums must stay below it, so
+#: the kernels require ``2 * max_distance < _SENTINEL`` (and
+#: ``_SENTINEL + max_distance`` must fit uint16, which it does).
 _SENTINEL = 32000
 
-#: Pairs sharing a source switch to the one-to-many row kernel once the
-#: group is big enough to amortize the dense scatter/reset.
-_ROW_THRESHOLD = 8
+#: Scratch cells per block: ``max(1, _SCRATCH // n)`` sources share one
+#: ``uint16`` scratch of at most this many cells (512 KB).
+_SCRATCH = 1 << 18
 
-#: Pairs per merge-kernel chunk are additionally capped so batch
-#: scratch (a few hundred label entries per pair) stays in memory.
-_MAX_CHUNK = 32768
+#: Target label entries per pass of the pair kernel.
+_PASS = 1 << 20
 
 
 def build_accelerator(offsets, hubs, dists, num_vertices):
@@ -82,7 +85,7 @@ def build_accelerator(offsets, hubs, dists, num_vertices):
 
 
 class BatchAccelerator:
-    """Precomputed NumPy views + scratch for one flat labeling."""
+    """Read-only packed copies of one flat labeling, and its kernels."""
 
     def __init__(self, offsets, hubs, dists, num_vertices, max_dist):
         np = _np
@@ -91,185 +94,113 @@ class BatchAccelerator:
         self._lens = np.diff(offsets)
         self._hubs = hubs.astype(np.int32)
         self._dists = dists.astype(np.uint16)
-        # Reusable dense source vector for the row kernel.
-        self._dense = np.full(num_vertices, _SENTINEL, dtype=np.uint16)
-        # Tagged merge keys are ``pair_index << hub_bits | hub``; chunk
-        # the batch so they stay positive int32.
-        hub_bits = max(1, int(num_vertices - 1).bit_length())
-        self._hub_bits = hub_bits
-        pair_bits = 31 - hub_bits
-        self._chunk = (
-            min(_MAX_CHUNK, 1 << pair_bits) if pair_bits >= 1 else 1
-        )
-        self._index_dtype = (
-            np.int32 if len(self._hubs) < 2**31 else np.int64
-        )
         # Smallest value meaning "no meeting hub" (any valid sum is
         # at most ``2 * max_dist``); masked to INF on output.
         self._big = 2 * max_dist + 1
 
-    # ------------------------------------------------------------------
-    # One-to-many row kernel
-    # ------------------------------------------------------------------
-    def query_row(self, source: int, targets=None, *, private=False):
-        """``d(source, v)`` for each target, as an int64 array.
-
-        ``targets=None`` means every vertex.  Entries without a meeting
-        hub hold ``self._big`` (callers mask to INF).  The shared dense
-        scratch vector is only safe under the caller's serialisation
-        (a server calls its oracle under one lock); ``private=True``
-        uses a fresh one, for callers outside that lock.
-        """
-        np = _np
-        offsets, lens = self._offsets, self._lens
-        s0, s1 = offsets[source], offsets[source + 1]
-        source_hubs = self._hubs[s0:s1]
-        if private:
-            dense = np.full(self._n, _SENTINEL, dtype=np.uint16)
-        else:
-            dense = self._dense
-        dense[source_hubs] = self._dists[s0:s1]
-        try:
-            if targets is None:
-                vals = dense[self._hubs] + self._dists
-                nz = lens > 0
-                out = np.full(self._n, self._big, dtype=np.int64)
-                out[nz] = np.minimum.reduceat(vals, offsets[:-1][nz])
-            else:
-                targets = np.asarray(targets, dtype=np.int64)
-                tlens = lens[targets]
-                total = int(tlens.sum())
-                if 2 * total >= len(self._hubs):
-                    # Dense target set: one pass over the whole store
-                    # plus a gather beats assembling per-target runs.
-                    vals = dense[self._hubs] + self._dists
-                    nz = lens > 0
-                    row = np.full(self._n, self._big, dtype=np.int64)
-                    row[nz] = np.minimum.reduceat(vals, offsets[:-1][nz])
-                    out = row[targets]
-                else:
-                    out = np.full(len(targets), self._big, dtype=np.int64)
-                    if total:
-                        it = _seg_indices(
-                            offsets[targets], tlens, total, self._index_dtype
-                        )
-                        vals = dense[self._hubs[it]] + self._dists[it]
-                        starts = np.zeros(len(targets), dtype=np.int64)
-                        np.cumsum(tlens[:-1], out=starts[1:])
-                        nz = tlens > 0
-                        out[nz] = np.minimum.reduceat(vals, starts[nz])
-        finally:
-            dense[source_hubs] = _SENTINEL
-        out[out > self._big] = self._big
-        return out
-
-    # ------------------------------------------------------------------
-    # Batch entry point
-    # ------------------------------------------------------------------
     def batch_query(
         self, pairs: Sequence[Tuple[int, int]]
     ) -> List[float]:
-        np = _np
-        pair_arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        us = pair_arr[:, 0]
-        vs = pair_arr[:, 1]
-        m = len(pairs)
-        best = np.full(m, self._big, dtype=np.int64)
-
-        # Route source-heavy groups through the row kernel.
-        uniq, inverse, counts = np.unique(
-            us, return_inverse=True, return_counts=True
-        )
-        rowable = counts[inverse] >= _ROW_THRESHOLD
-        if rowable.any():
-            row_idx = np.flatnonzero(rowable)
-            order = row_idx[np.argsort(us[row_idx], kind="stable")]
-            group_sources = us[order]
-            bounds = np.flatnonzero(np.diff(group_sources)) + 1
-            for segment in np.split(order, bounds):
-                best[segment] = self.query_row(
-                    int(us[segment[0]]), vs[segment]
-                )
-            scattered = np.flatnonzero(~rowable)
-        else:
-            scattered = np.arange(m)
-
-        for start in range(0, len(scattered), self._chunk):
-            idx = scattered[start : start + self._chunk]
-            self._merge_chunk(us[idx], vs[idx], best, idx)
-
+        pair_arr = _np.asarray(pairs, dtype=_np.int64).reshape(len(pairs), 2)
+        best = self.query_pairs(pair_arr[:, 0], pair_arr[:, 1])
         # tolist() restores Python ints, matching the dict backend's
         # answers exactly (see flat._dedouble); INF is patched after.
         out: List[float] = best.tolist()
-        for index in np.flatnonzero(best >= self._big):
+        for index in _np.flatnonzero(best >= self._big):
             out[index] = INF
         return out
 
-    # ------------------------------------------------------------------
-    # Scattered-pair merge kernel
-    # ------------------------------------------------------------------
-    def _merge_chunk(self, us, vs, best, idx) -> None:
+    def query_row(self, source: int):
+        """``d(source, v)`` for every vertex ``v``, as an int64 array.
+
+        Entries without a meeting hub hold ``self._big`` or more.
+        """
+        np = _np
+        s0, s1 = self._offsets[source], self._offsets[source + 1]
+        dense = np.full(self._n, _SENTINEL, dtype=np.uint16)
+        dense[self._hubs[s0:s1]] = self._dists[s0:s1]
+        vals = dense.take(self._hubs)
+        vals += self._dists
+        nz = self._lens > 0
+        out = np.full(self._n, self._big, dtype=np.int64)
+        out[nz] = np.minimum.reduceat(vals, self._offsets[:-1][nz])
+        return out
+
+    def query_pairs(self, us, vs):
+        """``d(us[i], vs[i])`` for int64 arrays ``us``, ``vs``, as an
+        int64 array; pairs without a meeting hub hold ``self._big`` or
+        more."""
         np = _np
         m = len(us)
-        if m == 0:
-            return
-        lens_u = self._lens[us]
-        lens_v = self._lens[vs]
-        total_u = int(lens_u.sum())
-        total_v = int(lens_v.sum())
-        if total_u == 0 or total_v == 0:
-            return
-        hub_bits = self._hub_bits
-        tags = np.arange(m, dtype=np.int32) << hub_bits
-        iu = _seg_indices(
-            self._offsets[us], lens_u, total_u, self._index_dtype
+        best = np.empty(m, dtype=np.int64)
+        if not m:
+            return best
+        sources, slots = np.unique(us, return_inverse=True)
+        order = np.argsort(slots, kind="stable")
+        slots = slots[order]
+        targets = vs[order]
+        tlens = self._lens[targets]
+        per_block = max(1, _SCRATCH // self._n)
+        scratch = np.full(
+            min(len(sources), per_block) * self._n, _SENTINEL, dtype=np.uint16
         )
-        iv = _seg_indices(
-            self._offsets[vs], lens_v, total_v, self._index_dtype
+        ends = np.cumsum(tlens)
+        cuts = np.searchsorted(
+            ends, np.arange(_PASS, int(ends[-1]), _PASS), side="right"
         )
-        keys_u = np.repeat(tags, lens_u)
-        keys_u |= self._hubs[iu]
-        keys_v = np.repeat(tags, lens_v)
-        keys_v |= self._hubs[iv]
-        # Both key arrays are globally ascending by construction:
-        # pair-major order, hub-ascending within each run.
-        pos = np.searchsorted(keys_v, keys_u)
-        pos_c = np.minimum(pos, total_v - 1)
-        match = keys_v[pos_c] == keys_u
-        if not match.any():
-            return
-        cand = (
-            self._dists[iu[match]].astype(np.int64)
-            + self._dists[iv[pos_c[match]]]
+        bounds = [0, *cuts.tolist(), m]
+        for a, b in zip(bounds, bounds[1:]):
+            if a < b:
+                best[order[a:b]] = self._pass(
+                    sources, slots[a:b], targets[a:b], tlens[a:b],
+                    scratch, per_block,
+                )
+        return best
+
+    def _pass(self, sources, slots, targets, tlens, scratch, per_block):
+        # ``slots`` ascends; the pass covers sources[first:last], and a
+        # source's row in the block scratch is ``slot % per_block``.
+        # ``si`` / ``ti`` index the source / target label entries.
+        np = _np
+        n = self._n
+        out = np.full(len(slots), self._big, dtype=np.int64)
+        first, last = int(slots[0]), int(slots[-1]) + 1
+        slens = self._lens[sources[first:last]]
+        si, sheads = _runs(self._offsets[sources[first:last]], slens)
+        ti, theads = _runs(self._offsets[targets], tlens)
+        if not len(si) or not len(ti):
+            return out
+        rows = np.arange(first, last) % per_block * n
+        cells = np.repeat(rows, slens)
+        cells += self._hubs.take(si)
+        source_dists = self._dists.take(si)
+        keys = np.repeat(rows[slots - first], tlens)
+        keys += self._hubs.take(ti)
+        vals = np.empty(len(ti), dtype=np.uint16)
+        block_starts = np.arange(
+            (first // per_block + 1) * per_block, last, per_block
         )
-        cand_pair = keys_u[match] >> hub_bits
-        # cand_pair ascends; reduce each pair's run of candidates.
-        starts = np.searchsorted(cand_pair, np.arange(m, dtype=np.int32))
-        chunk_counts = np.diff(np.append(starts, len(cand_pair)))
-        nz = chunk_counts > 0
-        if not nz.any():
-            return
-        sub = idx[nz]
-        # best[sub] is a copy (fancy index); assign, don't use out=.
-        best[sub] = np.minimum(
-            best[sub], np.minimum.reduceat(cand, starts[nz])
-        )
+        ecut = theads[np.searchsorted(slots, block_starts)].tolist()
+        scut = sheads[block_starts - first].tolist()
+        ecut = [0, *ecut, len(ti)]
+        scut = [0, *scut, len(si)]
+        for e0, e1, s0, s1 in zip(ecut, ecut[1:], scut, scut[1:]):
+            block_cells = cells[s0:s1]
+            scratch[block_cells] = source_dists[s0:s1]
+            np.take(scratch, keys[e0:e1], out=vals[e0:e1], mode="clip")
+            scratch[block_cells] = _SENTINEL
+        vals += self._dists.take(ti)
+        nz = tlens > 0
+        out[nz] = np.minimum.reduceat(vals, theads[:-1][nz])
+        return out
 
 
-def _seg_indices(starts, lens, total, dtype):
-    """Gather indices for concatenated slices ``starts[i]:starts[i]+lens[i]``.
-
-    The classic ones-and-jumps cumsum trick, hardened for zero-length
-    segments (their heads coincide with the next segment's and must not
-    be written).
-    """
+def _runs(starts, lens):
+    """Indices of the concatenated runs ``starts[i] : starts[i] + lens[i]``
+    (int64, so they index without a cast), and each run's head in them."""
     np = _np
-    nz = lens > 0
-    s = starts[nz].astype(dtype)
-    ln = lens[nz].astype(dtype)
-    heads = np.zeros(len(ln), dtype=dtype)
-    np.cumsum(ln[:-1], out=heads[1:])
-    out = np.ones(total, dtype=dtype)
-    out[0] = s[0]
-    out[heads[1:]] = s[1:] - (s[:-1] + ln[:-1] - 1)
-    return np.cumsum(out)
+    heads = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=heads[1:])
+    idx = np.repeat(starts - heads[:-1], lens)
+    idx += np.arange(heads[-1])
+    return idx, heads

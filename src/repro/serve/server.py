@@ -666,12 +666,16 @@ class QueryServer:
         generation = _generation_for(oracle, content=self._cache_on)
         key_base = _key_base_for(oracle)
         with self._oracle_lock:
+            # Freeing the outgoing store can take milliseconds; keep the
+            # last reference past the lock so dispatchers do not wait.
+            outgoing = self._oracle
             self._oracle = oracle
             # One attribute, so a submit reads a matching (n, generation).
             self._keying = (key_base, generation)
             self._generation_seq += 1
             seq = self._generation_seq
             cleared = self._cache.rekey(generation)
+        del outgoing
         obs = self._bind_obs()
         if obs is not None:
             obs.generation.set(seq)

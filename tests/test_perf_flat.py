@@ -8,6 +8,9 @@ fallback -- must return exactly what the dict store returns, including
 """
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +18,20 @@ from hypothesis import strategies as st
 
 from repro.core import HubLabeling, pruned_landmark_labeling
 from repro.core.fastquery import SortedHubIndex
-from repro.graphs import INF, random_sparse_graph, random_tree
+from repro.graphs import INF, Graph, random_sparse_graph, random_tree
+from repro.lowerbound import build_degree3_instance
 from repro.perf import FlatHubLabeling
+from repro.perf.build import build_flat_labels
 from repro.perf import kernels
 from repro.runtime import DomainError
 
 
 def _all_pairs(n):
     return [(u, v) for u in range(n) for v in range(n)]
+
+
+def _typed(answers):
+    return [(type(d), d) for d in answers]
 
 
 @pytest.fixture(scope="module")
@@ -159,23 +168,54 @@ class TestBatchEquality:
             assert row.dtype.name == "float64"
             assert row.tolist() == [labeling.query(source, v) for v in range(n)]
 
-    def test_distance_row_leaves_shared_scratch_alone(self, connected_case):
-        # A server may be mid-way through a row-kernel call on the same
-        # store (its shared scratch vector dirty) when a writer thread
-        # asks for a distance row.
-        labeling, flat = connected_case
-        accel = flat._accelerator()
-        if accel is None:
-            pytest.skip("no row kernel")
-        n = labeling.num_vertices
-        dirty = accel._dense.copy()
-        accel._dense[:] = 0
+    def test_concurrent_readers_share_one_store(self):
+        # Every kernel call allocates its own scratch, so readers on
+        # several threads may query one store with no lock at all.
+        flat = build_flat_labels(build_degree3_instance(2, 1).graph)
+        assert flat._accelerator() is not None
+        n = flat.num_vertices
+        rng = random.Random(11)
+        uniform = [(rng.randrange(n), rng.randrange(n)) for _ in range(600)]
+        targets = [rng.randrange(n) for _ in range(600)]
+        wrong = []
+
+        def reader(root):
+            # Each thread roots its rows at its own vertex, so a scratch
+            # shared between threads would mix their rows.
+            row = [flat.query(root, v) for v in range(n)]
+            rooted = [(root, t) for t in targets]
+            calls = [
+                (lambda: flat.batch_query(uniform),
+                 [flat.query(u, v) for u, v in uniform]),
+                (lambda: flat.batch_query(rooted), [row[t] for t in targets]),
+                (lambda: flat.batch_query_from(root, targets),
+                 [row[t] for t in targets]),
+                (lambda: flat.batch_query_from(root), row),
+                (lambda: flat.distance_row(root).tolist(),
+                 [float(d) for d in row]),
+            ]
+            try:
+                for i in range(60):
+                    call, expected = calls[i % len(calls)]
+                    if _typed(call()) != _typed(expected):
+                        wrong.append((root, i % len(calls)))
+            except Exception as exc:  # a dead reader must fail the test
+                wrong.append((root, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            row = flat.distance_row(5)
-            assert (accel._dense == 0).all()
+            threads = [
+                threading.Thread(target=reader, args=(root,))
+                for root in rng.sample(range(n), 4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         finally:
-            accel._dense[:] = dirty
-        assert row.tolist() == [labeling.query(5, v) for v in range(n)]
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
     def test_distance_row_without_kernel(self):
         lab = HubLabeling(3)
@@ -275,6 +315,60 @@ class TestPropertyEquality:
         flat = FlatHubLabeling.from_labeling(lab)
         pairs = _all_pairs(8)
         assert flat.batch_query(pairs) == [lab.query(u, v) for u, v in pairs]
+
+
+@st.composite
+def _scattered_tickets(draw):
+    """A labeling with two components and some empty labels, and a
+    ticket mixing uniform pairs, ``u == v`` pairs and a repeated source."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    split = draw(st.integers(min_value=1, max_value=n - 1))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    emptied = draw(st.sets(vertex, max_size=n // 2))
+    pairs = draw(
+        st.lists(
+            st.one_of(st.tuples(vertex, vertex), vertex.map(lambda u: (u, u))),
+            max_size=60,
+        )
+    )
+    root = draw(vertex)
+    targets = draw(st.lists(vertex, max_size=40))
+    pairs = draw(st.permutations(pairs + [(root, t) for t in targets]))
+    graph = Graph(n)
+    for offset, size in ((0, split), (split, n - split)):
+        for u, v, w in random_tree(size, seed=seed).edges():
+            graph.add_edge(offset + u, offset + v, w)
+    full = pruned_landmark_labeling(graph)
+    labeling = HubLabeling(n)
+    for v in range(n):
+        if v not in emptied:
+            for hub, dist in full.hubs(v).items():
+                labeling.add_hub(v, hub, dist)
+    return labeling, pairs, root, targets
+
+
+class TestScatteredPairKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_scattered_tickets(),
+        per_block=st.integers(min_value=1, max_value=3),
+        per_pass=st.sampled_from([1, 7, 1 << 20]),
+    )
+    def test_blocked_tickets_agree(self, case, per_block, per_pass):
+        labeling, pairs, root, targets = case
+        flat = FlatHubLabeling.from_labeling(labeling)
+        assert flat._accelerator() is not None
+        n = labeling.num_vertices
+        with pytest.MonkeyPatch.context() as mp:
+            # A few sources per block, so one ticket spans several
+            # blocks (and, with a small pass, several passes).
+            mp.setattr(kernels, "_SCRATCH", per_block * n)
+            mp.setattr(kernels, "_PASS", per_pass)
+            got = flat.batch_query(pairs)
+            row = flat.batch_query_from(root, targets)
+        assert _typed(got) == _typed([labeling.query(u, v) for u, v in pairs])
+        assert _typed(row) == _typed([labeling.query(root, t) for t in targets])
 
 
 class TestAddHubRegression:

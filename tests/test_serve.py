@@ -11,6 +11,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 
 import pytest
@@ -345,6 +346,22 @@ class TestQueryServer:
             )
         assert cleared
         assert len(server.cache) == 0
+
+    def test_set_oracle_frees_old_oracle_outside_lock(self, served_labeling):
+        # Freeing a large store takes milliseconds; dispatchers waiting
+        # on the oracle lock must not pay for it.
+        server = QueryServer(HubLabelOracle(served_labeling, backend="flat"))
+        lock_free_at_release = []
+
+        def probe():
+            acquired = server._oracle_lock.acquire(blocking=False)
+            if acquired:
+                server._oracle_lock.release()
+            lock_free_at_release.append(acquired)
+
+        weakref.finalize(server.oracle, probe)
+        server.set_oracle(HubLabelOracle(served_labeling, backend="dict"))
+        assert lock_free_at_release == [True]
 
     def test_set_oracle_same_labels_keeps_cache(
         self, served_labeling, flat_oracle
