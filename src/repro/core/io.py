@@ -29,20 +29,28 @@ garbage.  Envelope layout, all integers big-endian::
     25      ...   payload
 
 Version-1 payloads are the legacy bit stream (8-byte bit count + bits).
-Version-2 payloads (:func:`flat_labeling_to_bytes` /
+Version-3 payloads (:func:`flat_labeling_to_bytes` /
 :func:`flat_labeling_from_bytes`) carry a
-:class:`~repro.perf.flat.FlatHubLabeling` as raw little-endian arrays::
+:class:`~repro.perf.flat.FlatHubLabeling` as its own arrays, raw and
+little-endian, each starting 8-byte aligned in the envelope::
 
+    1                 dist tier tag  (1 = uint16, 2 = uint32, 3 = float64)
     8                 total entry count T  (big-endian, like the header)
+    6                 zero padding (the offsets start at envelope byte 40)
     8 * (n + 1)       offsets  (int64)
-    8 * T             hub ids  (int64)
-    8 * T             distances (float64)
+    4 * T             hub ids  (int32)
+    4 * (T % 2)       zero padding
+    w * T             distances (w = 2, 4 or 8 bytes, per the tag)
 
-which serialize and load in milliseconds even for multi-million-entry
-labelings -- the format behind the persistent label cache
-(:mod:`repro.perf.cache`).  Loaded flat payloads are structurally
-validated (offsets monotone, hub ids in range and ascending per run)
-before use.
+so an ``mmap`` of the file or a shared-memory copy of the blob *is* a
+store (:func:`flat_labeling_view`), and serialize/load are O(bytes)
+copies -- the format behind the persistent label cache
+(:mod:`repro.perf.cache`).  Version-2 payloads (int64 hubs and float64
+distances, written by earlier releases) still load through a one-way
+loader that narrows them into the version-3 layout; nothing writes
+version 2 any more.  Fully loaded flat payloads are structurally
+validated (offsets monotone, hub ids in range and ascending per run,
+distances inside their tier) before use.
 
 Legacy (pre-envelope) blobs start with the payload directly; since
 their leading 8-byte bit count never reaches ``2**56``, the first byte
@@ -60,8 +68,9 @@ from __future__ import annotations
 import json
 import sys
 import zlib
-from array import array
 from typing import TYPE_CHECKING, List, Tuple
+
+import numpy as np
 
 from ..graphs.graph import Graph
 from ..labeling.bits import BitReader, BitWriter
@@ -92,7 +101,10 @@ ARTIFACT_MAGIC = b"RHL\x01"
 #: Envelope format version of the gap+gamma bit-stream payload.
 ARTIFACT_VERSION = 1
 #: Envelope format version of the flat-array payload.
-FLAT_ARTIFACT_VERSION = 2
+FLAT_ARTIFACT_VERSION = 3
+#: The flat payload of earlier releases (int64 hubs, float64 dists),
+#: still readable by :func:`flat_labeling_from_bytes`.
+_V2_FLAT_VERSION = 2
 #: Envelope header size: magic + version + n + payload length + CRC32.
 _HEADER_SIZE = 4 + 1 + 8 + 8 + 4
 
@@ -231,11 +243,11 @@ def _decode_payload(payload: bytes, *, base_offset: int = 0) -> HubLabeling:
     return labeling
 
 
-def _open_envelope(blob: bytes) -> Tuple[int, int, bytes]:
+def _open_envelope(blob: bytes) -> Tuple[int, int, memoryview]:
     """Validate an enveloped blob; return (version, declared_n, payload).
 
     Checks the header size, payload length and CRC32 -- everything but
-    the version-specific payload decode.
+    the version-specific payload decode.  ``payload`` views ``blob``.
     """
     if len(blob) < _HEADER_SIZE:
         raise ArtifactCorruptError(
@@ -247,7 +259,7 @@ def _open_envelope(blob: bytes) -> Tuple[int, int, bytes]:
     declared_n = int.from_bytes(blob[5:13], "big")
     payload_len = int.from_bytes(blob[13:21], "big")
     checksum = int.from_bytes(blob[21:25], "big")
-    payload = blob[_HEADER_SIZE:]
+    payload = memoryview(blob)[_HEADER_SIZE:]
     if len(payload) != payload_len:
         raise ArtifactCorruptError(
             f"payload is {len(payload)} bytes, header declares "
@@ -276,9 +288,9 @@ def _decode_v1_envelope(declared_n: int, payload: bytes) -> HubLabeling:
 def labeling_from_bytes(blob: bytes) -> HubLabeling:
     """Deserialize a labeling from envelope or legacy bytes.
 
-    Accepts every format this module writes -- version-1 bit streams,
-    version-2 flat arrays (thawed into the dict store), and legacy
-    pre-envelope blobs.  Raises :class:`ArtifactCorruptError` (with the
+    Accepts every format this module writes or wrote -- version-1 bit
+    streams, version-2 and version-3 flat arrays (thawed into the dict
+    store), and legacy pre-envelope blobs.  Raises :class:`ArtifactCorruptError` (with the
     failing offset) on truncated, bit-flipped, or otherwise malformed
     input.
     """
@@ -286,8 +298,8 @@ def labeling_from_bytes(blob: bytes) -> HubLabeling:
         version, declared_n, payload = _open_envelope(blob)
         if version == ARTIFACT_VERSION:
             return _decode_v1_envelope(declared_n, payload)
-        if version == FLAT_ARTIFACT_VERSION:
-            return _decode_v2_envelope(declared_n, payload).to_labeling()
+        if version in (FLAT_ARTIFACT_VERSION, _V2_FLAT_VERSION):
+            return _decode_flat(version, declared_n, payload).to_labeling()
         raise ArtifactCorruptError(
             f"unsupported artifact version {version}", offset=4
         )
@@ -303,83 +315,109 @@ def labeling_from_bytes(blob: bytes) -> HubLabeling:
 
 
 # ----------------------------------------------------------------------
-# Flat-array payload (envelope version 2)
+# Flat-array payload (envelope version 3; version 2 read one way)
 # ----------------------------------------------------------------------
-def _le_bytes(values: array) -> bytes:
-    """The array's raw bytes, little-endian, widened to 8-byte items."""
-    if values.itemsize != 8:  # pragma: no cover - exotic platforms
-        values = array("q" if values.typecode != "d" else "d", values)
-    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-        values = array(values.typecode, values)
-        values.byteswap()
-    return values.tobytes()
+#: Dist tier tag of a version-3 payload -> little-endian dtype.
+_DIST_TAGS = {1: np.dtype("<u2"), 2: np.dtype("<u4"), 3: np.dtype("<f8")}
+#: Payload bytes before the offsets: tag, entry count, padding.
+_V3_PREFIX = 15
 
 
-def _le_array(typecode: str, raw: bytes) -> array:
-    """Inverse of :func:`_le_bytes` into an ``array(typecode)``."""
-    out = array(typecode)
-    if out.itemsize == 8:
-        out.frombytes(raw)
-        if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-            out.byteswap()
-        return out
-    wide = array("q" if typecode != "d" else "d")  # pragma: no cover
-    wide.frombytes(raw)  # pragma: no cover
-    if sys.byteorder == "big":  # pragma: no cover
-        wide.byteswap()
-    out.extend(wide)  # pragma: no cover
-    return out  # pragma: no cover
+def _v3_layout(n: int, total: int, itemsize: int) -> Tuple[int, int, int]:
+    """Payload offsets of the hubs and the dists, and the payload size."""
+    hubs_at = _V3_PREFIX + 8 * (n + 1)
+    dists_at = hubs_at + 4 * total + 4 * (total % 2)
+    return hubs_at, dists_at, dists_at + itemsize * total
 
 
 def flat_labeling_to_bytes(flat: "FlatHubLabeling") -> bytes:
-    """Serialize a flat labeling as a version-2 enveloped artifact.
+    """Serialize a flat labeling as a version-3 enveloped artifact.
 
-    The payload is the store's CSR arrays verbatim (little-endian), so
-    both directions are O(bytes) copies -- no per-entry coding.  The
-    result round-trips through :func:`flat_labeling_from_bytes` and is
-    also readable by :func:`labeling_from_bytes`.
+    The payload is the store's arrays verbatim (little-endian), so both
+    directions are O(bytes) copies -- no per-entry coding.  The result
+    round-trips through :func:`flat_labeling_from_bytes`, maps through
+    :func:`flat_labeling_view` and is also readable by
+    :func:`labeling_from_bytes`.
     """
-    payload = bytearray()
-    payload += flat.total_size().to_bytes(8, "big")
-    payload += _le_bytes(flat._offsets)
-    payload += _le_bytes(flat._hubs)
-    payload += _le_bytes(flat._dists)
-    header = bytearray()
-    header += ARTIFACT_MAGIC
-    header.append(FLAT_ARTIFACT_VERSION)
-    header += flat.num_vertices.to_bytes(8, "big")
-    header += len(payload).to_bytes(8, "big")
-    header += (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
-    return bytes(header) + bytes(payload)
+    offsets, hubs, dists = flat.arrays()
+    total = flat.total_size()
+    tag = next(t for t, dtype in _DIST_TAGS.items() if dtype == dists.dtype)
+    hubs_at, dists_at, size = _v3_layout(flat.num_vertices, total, dists.itemsize)
+    blob = bytearray(_HEADER_SIZE + size)
+    payload = memoryview(blob)[_HEADER_SIZE:]
+    payload[0] = tag
+    payload[1:9] = total.to_bytes(8, "big")
+    for at, values, dtype in (
+        (_V3_PREFIX, offsets, "<i8"),
+        (hubs_at, hubs, "<i4"),
+        (dists_at, dists, _DIST_TAGS[tag]),
+    ):
+        raw = np.ascontiguousarray(values, dtype=dtype).view(np.uint8)
+        payload[at : at + raw.size] = raw
+    blob[:4] = ARTIFACT_MAGIC
+    blob[4] = FLAT_ARTIFACT_VERSION
+    blob[5:13] = flat.num_vertices.to_bytes(8, "big")
+    blob[13:21] = size.to_bytes(8, "big")
+    blob[21:25] = (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
+    return bytes(blob)
 
 
-def _decode_v2_envelope(declared_n: int, payload: bytes) -> "FlatHubLabeling":
+def _flat_payload_error(message: str, at: int) -> ArtifactCorruptError:
+    return ArtifactCorruptError(message, offset=_HEADER_SIZE + at)
+
+
+def _decode_flat(
+    version: int, declared_n: int, payload, *, validate: bool = True
+) -> "FlatHubLabeling":
+    """A store over a version-3 payload (zero copy), or a version-2
+    payload narrowed into one."""
     from ..perf.flat import FlatHubLabeling
 
-    if len(payload) < 8:
-        raise ArtifactCorruptError(
-            "flat payload shorter than its 8-byte entry count",
-            offset=_HEADER_SIZE + len(payload),
+    length = len(payload)
+    if version == _V2_FLAT_VERSION:
+        prefix = 8
+        total = int.from_bytes(payload[:8], "big") if length >= 8 else 0
+        hubs_at = 8 + 8 * (declared_n + 1)
+        dists_at = hubs_at + 8 * total
+        expected = dists_at + 8 * total
+        dtypes = ("<i8", "<i8", "<f8")
+    else:
+        prefix = _V3_PREFIX
+        tag = payload[0] if length else 0
+        if length and tag not in _DIST_TAGS:
+            raise _flat_payload_error(f"unknown dist tier tag {tag}", 0)
+        total = int.from_bytes(payload[1:9], "big") if length >= 9 else 0
+        dtypes = ("<i8", "<i4", _DIST_TAGS.get(tag, _DIST_TAGS[1]))
+        hubs_at, dists_at, expected = _v3_layout(
+            declared_n, total, dtypes[2].itemsize
         )
-    total = int.from_bytes(payload[:8], "big")
-    expected = 8 + 8 * (declared_n + 1) + 16 * total
-    if len(payload) != expected:
-        raise ArtifactCorruptError(
-            f"flat payload is {len(payload)} bytes, {expected} expected "
+    if length < prefix:
+        raise _flat_payload_error(
+            f"flat payload shorter than its {prefix}-byte prefix", length
+        )
+    if length != expected:
+        raise _flat_payload_error(
+            f"flat payload is {length} bytes, {expected} expected "
             f"for {declared_n} vertices and {total} entries",
-            offset=_HEADER_SIZE + min(len(payload), expected),
+            min(length, expected),
         )
-    cut_offsets = 8 + 8 * (declared_n + 1)
-    cut_hubs = cut_offsets + 8 * total
-    offsets = _le_array("l", payload[8:cut_offsets])
-    hubs = _le_array("l", payload[cut_offsets:cut_hubs])
-    dists = _le_array("d", payload[cut_hubs:])
+    arrays = [
+        np.frombuffer(payload, dtype=dtype, count=count, offset=at)
+        for dtype, count, at in zip(
+            dtypes, (declared_n + 1, total, total), (prefix, hubs_at, dists_at)
+        )
+    ]
+    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
+        # No zero-copy view exists across a byte-order mismatch; one
+        # conversion copy beats serving byte-swapped garbage.
+        arrays = [values.astype(values.dtype.newbyteorder("=")) for values in arrays]
     try:
-        return FlatHubLabeling.from_arrays(offsets, hubs, dists)
+        if version == _V2_FLAT_VERSION:
+            return FlatHubLabeling(*arrays, validate=True)
+        return FlatHubLabeling.from_buffers(*arrays, validate=validate)
     except ValueError as exc:
-        raise ArtifactCorruptError(
-            f"flat payload failed structural validation ({exc})",
-            offset=_HEADER_SIZE + 8,
+        raise _flat_payload_error(
+            f"flat payload failed structural validation ({exc})", prefix
         ) from None
 
 
@@ -440,89 +478,62 @@ def flat_labeling_view(
 ) -> "FlatHubLabeling":
     """A zero-copy :class:`FlatHubLabeling` over an enveloped buffer.
 
-    The buffer must hold a version-2 (flat-array) envelope; the CSR
-    triple is exposed as read-only NumPy views straight into it --
-    nothing is deserialized, so opening a memory-mapped artifact costs
-    O(pages touched), not O(entries).  Validation is tiered to match:
+    The buffer must hold a version-3 (flat-array) envelope; the store's
+    arrays are read-only NumPy views straight into it -- nothing is
+    deserialized, so opening a memory-mapped artifact costs O(pages
+    touched), not O(entries).  Validation is tiered to match:
 
-    * the **header** (magic, version, lengths) and the offsets-array
-      endpoints are always checked -- O(1);
+    * the **header** (magic, version, lengths, dist tier tag) is always
+      checked -- O(1);
     * the payload **CRC32** runs only with ``verify_crc=True`` (or
       later, via :func:`verify_envelope_crc` on the same buffer);
     * the full **structural** walk (offsets monotone, hub ids in range
-      and ascending) runs only with ``validate=True``.
+      and ascending, distances inside their tier) runs only with
+      ``validate=True``.
 
     The returned store keeps ``buffer`` alive for as long as it is
-    queryable.  Requires NumPy (the whole point is array views).
+    queryable.  Version-2 artifacts hold wider arrays than a store, so
+    they cannot be mapped; :func:`flat_labeling_from_bytes` narrows
+    them.
     """
-    import numpy as np
-
-    from ..perf.flat import FlatHubLabeling
-
     view = memoryview(buffer)
     version, declared_n, payload_len, _ = _open_envelope_header(view)
     if version != FLAT_ARTIFACT_VERSION:
         raise ArtifactCorruptError(
             f"artifact version {version} cannot back a zero-copy view "
-            f"(need the flat version {FLAT_ARTIFACT_VERSION})",
+            f"(need the flat version {FLAT_ARTIFACT_VERSION}; "
+            "flat_labeling_from_bytes loads older versions)",
             offset=4,
         )
     if verify_crc:
         verify_envelope_crc(view)
-    payload = view[_HEADER_SIZE : _HEADER_SIZE + payload_len]
-    if payload_len < 8:
-        raise ArtifactCorruptError(
-            "flat payload shorter than its 8-byte entry count",
-            offset=_HEADER_SIZE + payload_len,
-        )
-    total = int.from_bytes(payload[:8], "big")
-    expected = 8 + 8 * (declared_n + 1) + 16 * total
-    if payload_len != expected:
-        raise ArtifactCorruptError(
-            f"flat payload is {payload_len} bytes, {expected} expected "
-            f"for {declared_n} vertices and {total} entries",
-            offset=_HEADER_SIZE + min(payload_len, expected),
-        )
-    cut_offsets = 8 + 8 * (declared_n + 1)
-    cut_hubs = cut_offsets + 8 * total
-    offsets = np.frombuffer(payload, dtype="<i8", count=declared_n + 1,
-                            offset=8)
-    hubs = np.frombuffer(payload, dtype="<i8", count=total,
-                         offset=cut_offsets)
-    dists = np.frombuffer(payload, dtype="<f8", count=total,
-                          offset=cut_hubs)
-    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-        # No zero-copy view exists across a byte-order mismatch; one
-        # conversion copy beats serving byte-swapped garbage.
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        hubs = np.ascontiguousarray(hubs, dtype=np.int64)
-        dists = np.ascontiguousarray(dists, dtype=np.float64)
-    try:
-        return FlatHubLabeling.from_buffers(
-            offsets, hubs, dists, validate=validate
-        )
-    except ValueError as exc:
-        raise ArtifactCorruptError(
-            f"flat payload failed structural validation ({exc})",
-            offset=_HEADER_SIZE + 8,
-        ) from None
+    return _decode_flat(
+        version,
+        declared_n,
+        view[_HEADER_SIZE : _HEADER_SIZE + payload_len],
+        validate=validate,
+    )
 
 
 def flat_labeling_from_bytes(blob: bytes) -> "FlatHubLabeling":
     """Deserialize a :class:`FlatHubLabeling` from any artifact flavor.
 
-    Version-2 blobs load by array adoption (plus structural
-    validation); version-1 and legacy bit streams are decoded and
-    frozen, so existing artifacts keep working.  Raises
+    Version-3 blobs become a validated store over ``blob`` itself (no
+    copy); version-2 blobs are narrowed into the version-3 layout;
+    version-1 and legacy bit streams are decoded and frozen, so
+    existing artifacts keep working.  Raises
     :class:`ArtifactCorruptError` exactly like
     :func:`labeling_from_bytes`.
     """
     from ..perf.flat import FlatHubLabeling
 
     if blob[:4] == ARTIFACT_MAGIC:
+        # A store views its payload, so it must not alias memory the
+        # caller can still change.
+        blob = bytes(blob)
         version, declared_n, payload = _open_envelope(blob)
-        if version == FLAT_ARTIFACT_VERSION:
-            return _decode_v2_envelope(declared_n, payload)
+        if version in (FLAT_ARTIFACT_VERSION, _V2_FLAT_VERSION):
+            return _decode_flat(version, declared_n, payload)
         if version == ARTIFACT_VERSION:
             return FlatHubLabeling.from_labeling(
                 _decode_v1_envelope(declared_n, payload)

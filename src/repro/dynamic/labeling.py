@@ -7,9 +7,8 @@ keeps answering exactly as it did.  The repair is the same four phases
 for both mutation kinds:
 
 1. **Detect** the affected hub roots against the *pre-mutation* store,
-   from the two distance rows ``d(u, .)`` and ``d(v, .)`` (row pass,
-   or the store's merge path for labelings the kernel cannot take) and
-   one vectorised comparison.  An edge ``{u, v}`` of weight ``w`` lies
+   from the two distance rows ``d(u, .)`` and ``d(v, .)`` (the row
+   kernel, over every dist tier) and one vectorised comparison.  An edge ``{u, v}`` of weight ``w`` lies
    on some shortest path from root ``r`` iff ``d(r,u) + w == d(r,v)``
    or ``d(r,v) + w == d(r,u)`` (deletion can only disturb such roots);
    an insert improves some distance from ``r`` iff
@@ -25,7 +24,8 @@ for both mutation kinds:
    vertex's surviving run is thawed into a dict the first time a sweep
    visits it, once per repair.
 4. **Splice** the surviving entries and the re-swept ones into a fresh
-   CSR, hubs ascending within each run.
+   CSR, hubs ascending within each run, in the narrowest dist tier
+   that holds them.
 
 The resulting labeling is *answer-identical* to a from-scratch PLL
 rebuild under the pinned order: all surviving and re-added entries are
@@ -69,6 +69,7 @@ from ..obs.registry import get_registry
 from ..obs.spans import span
 from ..perf.build import build_flat_labels
 from ..perf.flat import FlatHubLabeling
+from ..perf.kernels import dist_dtype
 
 __all__ = ["DynamicHubLabeling", "RepairReport"]
 
@@ -341,10 +342,11 @@ class DynamicHubLabeling:
             return [], [], []
         offsets, hubs, dists, _ = survivors
         graph = self._graph
-        if not graph.is_weighted or (dists == np.floor(dists)).all():
+        if dists.dtype.kind == "f" and (dists == np.floor(dists)).all():
             dists = dists.astype(np.int64)
-        # Memoryview slices iterate as Python numbers, so a row thaws
-        # without a copy or a per-row NumPy call.
+        # Memoryview slices iterate as Python numbers (ints for the
+        # integer dist tiers), so a row thaws without a copy or a
+        # per-row NumPy call.
         run_hubs, run_dists = memoryview(hubs), memoryview(dists)
         starts = offsets.tolist()
         rows: List[Optional[Dict[int, float]]] = [None] * graph.num_vertices
@@ -366,14 +368,19 @@ class DynamicHubLabeling:
         return vertices, roots, depths
 
     def _splice(self, survivors, additions) -> FlatHubLabeling:
-        """Merge survivors and additions into a fresh CSR store."""
+        """Merge survivors and additions into a fresh CSR store.
+
+        The merged distances take the wider of the survivors' dist tier
+        and the additions' (a repair can push ``max_dist`` across a
+        tier); the store then narrows them to the tightest tier.
+        """
         offsets, hubs, dists, owner = survivors
         add_v, add_h, add_d = additions
         n = len(offsets) - 1
         if add_v:
             add_v = np.array(add_v, dtype=np.int64)
-            add_h = np.array(add_h, dtype=np.int64)
-            add_d = np.array(add_d, dtype=np.float64)
+            add_h = np.array(add_h, dtype=np.int32)
+            add_d = np.array(add_d)
             keys = add_v * n + add_h
             order = np.argsort(keys)
             add_v, add_h, add_d = add_v[order], add_h[order], add_d[order]
@@ -387,17 +394,19 @@ class DynamicHubLabeling:
             total = len(hubs) + len(at)
             from_survivors = np.ones(total, dtype=bool)
             from_survivors[at] = False
-            merged_hubs = np.empty(total, dtype=np.int64)
+            merged_hubs = np.empty(total, dtype=np.int32)
             merged_hubs[at] = add_h
             merged_hubs[from_survivors] = hubs
-            merged_dists = np.empty(total, dtype=np.float64)
+            merged_dists = np.empty(
+                total, dtype=np.promote_types(dists.dtype, dist_dtype(add_d))
+            )
             merged_dists[at] = add_d
             merged_dists[from_survivors] = dists
             counts = np.diff(offsets) + np.bincount(add_v, minlength=n)
             offsets = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
             hubs, dists = merged_hubs, merged_dists
-        return FlatHubLabeling.from_arrays(offsets, hubs, dists, validate=False)
+        return FlatHubLabeling(offsets, hubs, dists, validate=False)
 
     def _build(self) -> FlatHubLabeling:
         if self._cache is not None:

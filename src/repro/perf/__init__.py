@@ -3,9 +3,9 @@
 The pieces (see docs/performance.md):
 
 * :class:`~repro.perf.flat.FlatHubLabeling` -- immutable CSR-style
-  label store with pointer-merge queries and a vectorized
-  ``batch_query`` (:mod:`repro.perf.kernels`), selectable on the
-  oracles via ``backend="flat"``;
+  label store (int32 hubs, narrowest exact dist tier) whose arrays the
+  vectorized kernels of :mod:`repro.perf.kernels` read in place,
+  selectable on the oracles via ``backend="flat"``;
 * :func:`~repro.perf.build.build_flat_labels` -- the bit-parallel
   multi-root PLL builder emitting the canonical labeling straight to
   the flat layout (no dict intermediate, no conversion pass);
@@ -23,13 +23,11 @@ The pieces (see docs/performance.md):
 from .build import BUILDER_VERSION, bitparallel_available, build_flat_labels
 from .cache import LabelCache, cache_key
 from .flat import FlatHubLabeling
-from .kernels import HAVE_NUMPY
 from .parallel import resolve_workers, shortest_path_rows
 
 __all__ = [
     "BUILDER_VERSION",
     "FlatHubLabeling",
-    "HAVE_NUMPY",
     "LabelCache",
     "bitparallel_available",
     "build_flat_labels",

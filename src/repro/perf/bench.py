@@ -474,13 +474,11 @@ def run_bench(
     )
     # Batch-native serving: the full workload through submit_batch, one
     # BatchTicket per window per client -- the amortized fast path.
-    # Windows (numpy us/vs arrays when available) are cut outside the
-    # timed region; the timed region is admission, dedup, one kernel
-    # call per ticket, and the fancy-indexed result scatter.
-    try:
-        import numpy as _np
-    except ImportError:
-        _np = None
+    # Windows (numpy us/vs arrays) are cut outside the timed region;
+    # the timed region is admission, dedup, one kernel call per ticket,
+    # and the fancy-indexed result scatter.
+    import numpy as np
+
     batch_window = 4096
     batch_slices: List[List[Tuple[object, object, List[Tuple[int, int]]]]] = []
     for index in range(serve_clients):
@@ -488,11 +486,8 @@ def run_bench(
         windows = []
         for begin in range(0, len(chunk), batch_window):
             part = chunk[begin : begin + batch_window]
-            us = [u for u, _ in part]
-            vs = [v for _, v in part]
-            if _np is not None:
-                us = _np.asarray(us, dtype=_np.int64)
-                vs = _np.asarray(vs, dtype=_np.int64)
+            us = np.asarray([u for u, _ in part], dtype=np.int64)
+            vs = np.asarray([v for _, v in part], dtype=np.int64)
             windows.append((us, vs, part))
         batch_slices.append(windows)
     batch_holder: Dict[str, List[List[float]]] = {}

@@ -32,11 +32,11 @@ bit-parallel batching, widened):
   vertex -- is resolved by a vectorized mirror-key fix-up restricted
   to visits landing on batch-root vertices (see ``_bitparallel_flat``).
 
-The NumPy path is gated: weighted graphs and NumPy-less interpreters
-fall back to the pure-Python array builder
+Weighted graphs take the pure-Python array builder
 (:func:`repro.core.pll_fast.fast_pruned_landmark_labeling`) followed by
-:meth:`FlatHubLabeling.from_labeling` -- same output, no new
-dependencies.  Builds report a ``build.flat`` tracing span, the
+:meth:`FlatHubLabeling.from_labeling` -- same output.  Either way the
+store comes out in the compact layout of :mod:`repro.perf.flat` (int32
+hubs, narrowest exact dist tier).  Builds report a ``build.flat`` tracing span, the
 ``build.duration_seconds{builder=...}`` gauge and a
 ``build.bitparallel_passes`` counter (created even when the fallback
 runs, so snapshots always carry it).  ``BUILDER_VERSION`` participates
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
 from ..obs.catalog import (
@@ -57,11 +59,6 @@ from ..obs.catalog import (
 from ..obs.registry import get_registry
 from ..obs.spans import span
 from .flat import FlatHubLabeling
-
-try:  # NumPy is optional everywhere in repro.perf
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
 
 __all__ = ["BUILDER_VERSION", "build_flat_labels", "bitparallel_available"]
 
@@ -84,7 +81,7 @@ _BATCH = 512
 
 def bitparallel_available(graph: Graph) -> bool:
     """True when ``build_flat_labels`` will take the bit-parallel path."""
-    return _np is not None and not graph.is_weighted
+    return not graph.is_weighted
 
 
 def build_flat_labels(
@@ -95,8 +92,8 @@ def build_flat_labels(
     Same output as ``FlatHubLabeling.from_labeling(
     pruned_landmark_labeling(graph, order))`` -- the identity is
     asserted by the differential tests -- produced by the bit-parallel
-    batched builder when NumPy is available and the graph is
-    unweighted, and by the pure-Python fallback otherwise.
+    batched builder when the graph is unweighted, and by the
+    pure-Python builder otherwise.
 
     Reports a ``build.flat`` span plus the build metrics from the
     module docstring; :mod:`repro.perf.cache` relies on the span being
@@ -137,14 +134,13 @@ def build_flat_labels(
 
 
 # ----------------------------------------------------------------------
-# Bit-parallel batched construction (NumPy path)
+# Bit-parallel batched construction
 # ----------------------------------------------------------------------
 def _seg_indices(starts, lens, total):
     """Concatenated ``[starts[i], starts[i] + lens[i])`` ranges.
 
     The ones-and-jumps cumsum gather; zero-length segments are allowed.
     """
-    np = _np
     if total == 0:
         return np.empty(0, dtype=np.int64)
     nz = lens > 0
@@ -160,7 +156,6 @@ def _seg_indices(starts, lens, total):
 
 def _grouped_runs(sorted_v):
     """Group starts, distinct values and counts of a sorted array."""
-    np = _np
     c = sorted_v.size
     boundary = np.empty(c, dtype=bool)
     boundary[0] = True
@@ -186,7 +181,6 @@ def _bitparallel_flat(
     the coverage tests; the finished store is converted to id-sorted
     hub arrays once at the end.
     """
-    np = _np
     n = graph.num_vertices
     K = max(1, _BATCH)
     # Slot bits of the packed (vertex, slot) keys: the next power of
@@ -446,9 +440,9 @@ def _bitparallel_flat(
     hub_ids = order_arr[store_hub]
     owner = np.repeat(ar_n, lab_len)
     perm = np.argsort(owner * n + hub_ids, kind="stable")
-    return FlatHubLabeling.from_arrays(
+    return FlatHubLabeling(
         lab_off,
-        hub_ids[perm],
-        store_dist[perm].astype(np.float64),
+        hub_ids[perm].astype(np.int32),
+        store_dist[perm],
         validate=False,
     )

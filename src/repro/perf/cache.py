@@ -13,8 +13,8 @@ fingerprint of everything the labeling depends on:
   and the artifact format version, so algorithm or format changes
   invalidate old entries instead of serving stale labels.
 
-Artifacts are the checksummed version-2 envelope of
-:mod:`repro.core.io` (raw little-endian CSR arrays), written atomically
+Artifacts are the checksummed version-3 envelope of
+:mod:`repro.core.io` (the store's own arrays, little-endian), written atomically
 (temp file + ``os.replace``) so a crashed writer can never leave a
 half-written entry behind.  A corrupt or truncated artifact is detected
 at load (:class:`~repro.runtime.errors.ArtifactCorruptError`), counted,

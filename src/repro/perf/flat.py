@@ -9,40 +9,41 @@ from flat sorted arrays instead -- Gawrychowski-Kosowski-Uznanski
 (*Separating Hierarchical and General Hub Labelings*) both store labels
 as id-sorted runs so that a query is a linear pointer merge.
 
-:class:`FlatHubLabeling` is that layout: one CSR-style triple
+:class:`FlatHubLabeling` is that layout: one CSR-style triple of NumPy
+arrays over the whole labeling,
 
-* ``offsets[v] : offsets[v + 1]`` slices the per-vertex run,
-* ``hubs``      -- ``array('l')`` hub ids, ascending within each run,
-* ``dists``     -- ``array('d')`` distances, parallel to ``hubs``
+* ``offsets`` -- int64; ``offsets[v] : offsets[v + 1]`` slices ``v``'s run,
+* ``hubs``    -- int32 hub ids, ascending within each run,
+* ``dists``   -- distances parallel to ``hubs``, in the narrowest exact
+  dtype: ``uint16``, ``uint32`` or ``float64`` (the tiers of
+  :mod:`repro.perf.kernels`), chosen once when the store is frozen.
 
-over the whole labeling.  The store is immutable; build with
-:meth:`from_labeling` and convert back with :meth:`to_labeling`.
-
-The backing triple does not have to be ``array.array``:
-:meth:`from_buffers` adopts NumPy views over *any* readable buffer --
-an ``mmap`` of the version-2 artifact envelope, a
+That layout is the batch kernels' own, so they read the store in place,
+and it is what the version-3 artifact envelope persists byte for byte
+(:mod:`repro.core.io`): an ``mmap`` of an artifact or a
 ``multiprocessing.shared_memory`` segment (see :mod:`repro.perf.shm`)
--- without copying a byte, which is what lets N worker processes serve
-one label store.  Every accessor narrows NumPy scalars back to Python
-``int`` / ``float`` so both backings answer byte-identically.
+becomes a store without a copy, which is what lets N worker processes
+serve one set of pages.  The store is immutable; build with
+the constructor or :meth:`from_labeling` and convert back with
+:meth:`to_labeling`.
 
-``query`` is an ascending two-pointer merge of the two runs.
-``batch_query`` amortizes attribute lookups over a list of pairs and,
-when NumPy is importable and the labeling is integer-valued, dispatches
-to the vectorized kernel in :mod:`repro.perf.kernels` -- that path is
-what makes the ``>= 5x`` throughput target of ``repro bench`` reachable
-in pure CPython.  Both paths return exactly the values the dict store
-would (INF for non-intersecting pairs included).
+Answers equal the dict store's in value and type, INF for
+non-intersecting pairs included: integer tiers answer through
+``tolist()`` (Python ``int``), the ``float64`` tier through
+:func:`_dedouble`.
 """
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.hublabel import HubLabeling
 from ..graphs.traversal import INF
 from ..runtime.errors import DomainError
+from . import kernels
 
 __all__ = ["FlatHubLabeling"]
 
@@ -59,9 +60,17 @@ class FlatHubLabeling:
     :class:`HubLabeling` to edit, or let
     :class:`~repro.dynamic.DynamicHubLabeling` produce a new store per
     edge edit.
+
+    ``FlatHubLabeling(offsets, hubs, dists)`` narrows any sequences or
+    arrays into the store's layout (the one helper every producer goes
+    through); arrays already in it are adopted without a copy.
+    ``validate=True`` checks the structural invariants -- offsets
+    start at 0 and are non-decreasing, lengths agree, hub ids in range
+    and strictly ascending within each run -- in a few vectorized
+    passes; trusted producers pass ``False``.
     """
 
-    __slots__ = ("_offsets", "_hubs", "_dists", "_accel")
+    __slots__ = ("_offsets", "_hubs", "_dists")
 
     #: ``batch_query`` natively consumes an ``(m, 2)`` int64 ndarray --
     #: batch producers (the serving layer) may skip tuple-list packing.
@@ -72,146 +81,92 @@ class FlatHubLabeling:
         offsets: Sequence[int],
         hubs: Sequence[int],
         dists: Sequence[float],
+        *,
+        validate: bool = True,
     ) -> None:
-        if len(offsets) < 1 or offsets[0] != 0:
+        hubs = np.asarray(hubs)
+        if hubs.dtype != np.int32:
+            if hubs.size and (hubs.min() < 0 or hubs.max() >= 1 << 31):
+                raise ValueError("hub id out of range for int32")
+            hubs = hubs.astype(np.int32)
+        dists = np.asarray(dists)
+        if dists.dtype.kind not in "uif":
+            dists = dists.astype(np.float64)
+        self._adopt(
+            np.asarray(offsets, dtype=np.int64),
+            hubs,
+            dists.astype(kernels.dist_dtype(dists), copy=False),
+            validate,
+        )
+
+    def _adopt(self, offsets, hubs, dists, validate: bool) -> None:
+        self._offsets, self._hubs, self._dists = (
+            _readonly(values) for values in (offsets, hubs, dists)
+        )
+        if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0:
             raise ValueError("offsets must start at 0")
-        if offsets[-1] != len(hubs) or len(hubs) != len(dists):
+        if offsets[-1] != hubs.size or hubs.size != dists.size:
             raise ValueError("offsets/hubs/dists lengths are inconsistent")
-        self._offsets = array("l", offsets)
-        self._hubs = array("l", hubs)
-        self._dists = array("d", dists)
-        for v in range(len(self._offsets) - 1):
-            run = self._hubs[self._offsets[v] : self._offsets[v + 1]]
-            if any(run[i] >= run[i + 1] for i in range(len(run) - 1)):
-                raise ValueError(
-                    f"hub ids of vertex {v} are not strictly ascending"
-                )
-        self._accel = None  # built lazily by batch_query
+        if validate:
+            self._validate()
 
     # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
     @classmethod
-    def from_arrays(
-        cls,
-        offsets: Sequence[int],
-        hubs: Sequence[int],
-        dists: Sequence[float],
-        *,
-        validate: bool = True,
+    def from_buffers(
+        cls, offsets, hubs, dists, *, validate: bool = True
     ) -> "FlatHubLabeling":
-        """Adopt already-flat CSR arrays without the per-entry loop.
+        """Adopt arrays already in the store's layout -- zero copy.
 
-        The fast-construction entry point: NumPy arrays are adopted via
-        a single buffer copy, so a multi-million-entry labeling loads in
-        milliseconds (``__init__`` walks every run in Python).  With
-        ``validate=True`` the structural invariants -- offsets start at
-        0 and are non-decreasing, lengths agree, hub ids in range and
-        strictly ascending within each run -- are still checked
-        (vectorized when NumPy is available); trusted producers such as
-        :func:`repro.perf.build.build_flat_labels` pass ``False``.
+        ``offsets`` / ``hubs`` / ``dists`` must be int64 / int32 /
+        dist-tier ndarrays, typically read-only views over an ``mmap``
+        of a version-3 artifact or a ``multiprocessing.shared_memory``
+        segment (see :func:`repro.core.io.flat_labeling_view`).  The
+        store keeps the underlying buffer alive, so a mapped file stays
+        mapped exactly as long as someone can still query it.  Nothing
+        is narrowed or scanned: ``validate=False`` makes opening a
+        mapped artifact touch only the pages its queries read, and
+        ``validate=True`` adds the structural checks plus a check that
+        every distance lies inside its tier.
         """
+        for name, values, dtypes in (
+            ("offsets", offsets, (np.dtype(np.int64),)),
+            ("hubs", hubs, (np.dtype(np.int32),)),
+            ("dists", dists, tuple(kernels.SENTINELS)),
+        ):
+            if not isinstance(values, np.ndarray) or values.dtype not in dtypes:
+                raise ValueError(
+                    f"{name} must be a {'/'.join(d.name for d in dtypes)} "
+                    f"array, got {getattr(values, 'dtype', type(values))}"
+                )
         flat = cls.__new__(cls)
-        flat._offsets = _as_array("l", offsets)
-        flat._hubs = _as_array("l", hubs)
-        flat._dists = _as_array("d", dists)
-        flat._accel = None
-        if validate:
-            flat._validate()
+        flat._adopt(offsets, hubs, dists, validate)
+        if validate and kernels.dist_dtype(dists).itemsize > dists.itemsize:
+            raise ValueError(
+                f"distances exceed the {dists.dtype.name} dist tier"
+            )
         return flat
 
     def _validate(self) -> None:
-        offsets, hubs, dists = self._offsets, self._hubs, self._dists
-        if len(offsets) < 1 or offsets[0] != 0:
-            raise ValueError("offsets must start at 0")
-        if offsets[-1] != len(hubs) or len(hubs) != len(dists):
-            raise ValueError("offsets/hubs/dists lengths are inconsistent")
-        n = len(offsets) - 1
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None:
-            int_kind = np.dtype(f"i{offsets.itemsize}")
-            off = np.frombuffer(memoryview(offsets), dtype=int_kind)
-            if off.size > 1 and (np.diff(off) < 0).any():
-                raise ValueError("offsets must be non-decreasing")
-            run = np.frombuffer(memoryview(hubs), dtype=int_kind)
-            if run.size:
-                if int(run.min()) < 0 or int(run.max()) >= n:
-                    raise ValueError(f"hub id out of range for {n} vertices")
-                starts = np.zeros(run.size, dtype=bool)
-                interior = off[:-1][off[:-1] < run.size]
-                starts[interior] = True
-                bad = (run[1:] <= run[:-1]) & ~starts[1:]
-                if bad.any():
-                    at = int(np.flatnonzero(bad)[0]) + 1
-                    v = int(np.searchsorted(off, at, side="right")) - 1
-                    raise ValueError(
-                        f"hub ids of vertex {v} are not strictly ascending"
-                    )
+        off, run = self._offsets, self._hubs
+        n = len(off) - 1
+        if off.size > 1 and (np.diff(off) < 0).any():
+            raise ValueError("offsets must be non-decreasing")
+        if not run.size:
             return
-        previous = 0
-        for v in range(n):
-            start, end = offsets[v], offsets[v + 1]
-            if start < previous:
-                raise ValueError("offsets must be non-decreasing")
-            previous = start
-            for i in range(start, end):
-                if not 0 <= hubs[i] < n:
-                    raise ValueError(f"hub id out of range for {n} vertices")
-                if i > start and hubs[i - 1] >= hubs[i]:
-                    raise ValueError(
-                        f"hub ids of vertex {v} are not strictly ascending"
-                    )
-
-    @classmethod
-    def from_buffers(
-        cls,
-        offsets,
-        hubs,
-        dists,
-        *,
-        validate: bool = True,
-    ) -> "FlatHubLabeling":
-        """Adopt readable buffers as int64/float64 views -- zero copy.
-
-        Unlike :meth:`from_arrays` (one buffer copy into ``array``),
-        this wraps ``offsets`` / ``hubs`` / ``dists`` in read-only
-        NumPy views over whatever memory backs them -- a ``bytes``
-        payload, an ``mmap`` of the version-2 envelope, or a
-        ``multiprocessing.shared_memory`` buffer.  The store's lifetime
-        keeps the underlying buffer alive (NumPy holds the reference),
-        so a mapped file stays mapped exactly as long as someone can
-        still query it.
-
-        ``validate=False`` skips the structural walk so that opening a
-        mapped artifact touches only the pages it reads -- O(page-in),
-        not O(entries); producers that skip it are expected to have
-        header-checked the envelope (see
-        :func:`repro.core.io.flat_labeling_view`).  Requires NumPy.
-        """
-        import numpy as np
-
-        flat = cls.__new__(cls)
-        flat._offsets = _as_view(np, offsets, np.int64)
-        flat._hubs = _as_view(np, hubs, np.int64)
-        flat._dists = _as_view(np, dists, np.float64)
-        flat._accel = None
-        if validate:
-            flat._validate()
-        else:
-            offs = flat._offsets
-            if offs.size < 1 or int(offs[0]) != 0:
-                raise ValueError("offsets must start at 0")
-            if (
-                int(offs[-1]) != flat._hubs.size
-                or flat._hubs.size != flat._dists.size
-            ):
-                raise ValueError(
-                    "offsets/hubs/dists lengths are inconsistent"
-                )
-        return flat
+        if int(run.min()) < 0 or int(run.max()) >= n:
+            raise ValueError(f"hub id out of range for {n} vertices")
+        starts = np.zeros(run.size, dtype=bool)
+        interior = off[:-1][off[:-1] < run.size]
+        starts[interior] = True
+        bad = (run[1:] <= run[:-1]) & ~starts[1:]
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0]) + 1
+            v = int(np.searchsorted(off, at, side="right")) - 1
+            raise ValueError(
+                f"hub ids of vertex {v} are not strictly ascending"
+            )
 
     @classmethod
     def from_labeling(cls, labeling: HubLabeling) -> "FlatHubLabeling":
@@ -221,32 +176,30 @@ class FlatHubLabeling:
         minimum distance per ``(vertex, hub)`` -- each pair occurs at
         most once.
         """
-        n = labeling.num_vertices
-        offsets = array("l", [0] * (n + 1))
-        total = labeling.total_size()
-        hubs = array("l", [0] * total)
-        dists = array("d", [0.0] * total)
-        cursor = 0
-        for v in range(n):
+        offsets = [0]
+        hubs: List[int] = []
+        dists: List[float] = []
+        for v in range(labeling.num_vertices):
             for hub, dist in sorted(labeling.hubs(v).items()):
-                hubs[cursor] = hub
-                dists[cursor] = dist
-                cursor += 1
-            offsets[v + 1] = cursor
-        flat = cls.__new__(cls)
-        flat._offsets = offsets
-        flat._hubs = hubs
-        flat._dists = dists
-        flat._accel = None
-        return flat
+                hubs.append(hub)
+                dists.append(dist)
+            offsets.append(len(hubs))
+        return cls(
+            offsets,
+            np.array(hubs, dtype=np.int64),
+            np.array(dists, dtype=np.float64),
+            validate=False,
+        )
 
     def to_labeling(self) -> "HubLabeling":
         """Thaw back into a mutable dict-based :class:`HubLabeling`."""
         labeling = HubLabeling(self.num_vertices)
-        offsets, hubs, dists = self._offsets, self._hubs, self._dists
+        offsets = self._offsets.tolist()
+        hubs = self._hubs.tolist()
+        dists = self._dists.tolist()
         for v in range(self.num_vertices):
             for i in range(offsets[v], offsets[v + 1]):
-                labeling.add_hub(v, int(hubs[i]), _dedouble(dists[i]))
+                labeling.add_hub(v, hubs[i], _dedouble(dists[i]))
         return labeling
 
     # ------------------------------------------------------------------
@@ -257,43 +210,29 @@ class FlatHubLabeling:
         if not 0 <= vertex < n:
             raise DomainError(f"vertex {vertex} outside 0..{n - 1}")
 
-    def query(self, u: int, v: int) -> float:
-        """Two-pointer merge over the id-sorted runs of ``u`` and ``v``."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        offsets, hubs, dists = self._offsets, self._hubs, self._dists
-        i, end_i = offsets[u], offsets[u + 1]
-        j, end_j = offsets[v], offsets[v + 1]
-        best = INF
-        while i < end_i and j < end_j:
-            hi = hubs[i]
-            hj = hubs[j]
-            if hi == hj:
-                candidate = dists[i] + dists[j]
-                if candidate < best:
-                    best = candidate
-                i += 1
-                j += 1
-            elif hi < hj:
-                i += 1
-            else:
-                j += 1
-        return _dedouble(best)
+    def _run(self, vertex: int) -> Tuple[List[int], List[float]]:
+        """``vertex``'s hub ids and distances as Python lists."""
+        self._check_vertex(vertex)
+        start, end = self._offsets[vertex : vertex + 2].tolist()
+        return (
+            self._hubs[start:end].tolist(),
+            self._dists[start:end].tolist(),
+        )
 
-    def meet(self, u: int, v: int) -> Optional[int]:
-        """A hub realizing :meth:`query`'s minimum, or None."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        offsets, hubs, dists = self._offsets, self._hubs, self._dists
-        i, end_i = offsets[u], offsets[u + 1]
-        j, end_j = offsets[v], offsets[v + 1]
+    def _merge(self, u: int, v: int) -> Tuple[float, Optional[int]]:
+        """Two-pointer merge of the runs of ``u`` and ``v``: the best
+        sum and a hub realizing it (``(INF, None)`` if none meets)."""
+        hubs_u, dists_u = self._run(u)
+        hubs_v, dists_v = self._run(v)
+        i = j = 0
+        end_i, end_j = len(hubs_u), len(hubs_v)
         best = INF
         best_hub: Optional[int] = None
         while i < end_i and j < end_j:
-            hi = hubs[i]
-            hj = hubs[j]
+            hi = hubs_u[i]
+            hj = hubs_v[j]
             if hi == hj:
-                candidate = dists[i] + dists[j]
+                candidate = dists_u[i] + dists_v[j]
                 if candidate < best:
                     best = candidate
                     best_hub = hi
@@ -303,23 +242,29 @@ class FlatHubLabeling:
                 i += 1
             else:
                 j += 1
-        return None if best_hub is None else int(best_hub)
+        return best, best_hub
+
+    def query(self, u: int, v: int) -> float:
+        """Two-pointer merge over the id-sorted runs of ``u`` and ``v``."""
+        return _dedouble(self._merge(u, v)[0])
+
+    def meet(self, u: int, v: int) -> Optional[int]:
+        """A hub realizing :meth:`query`'s minimum, or None."""
+        return self._merge(u, v)[1]
 
     def batch_query(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
-        """Distances for many pairs at once.
+        """Distances for many pairs at once, through the pair kernel.
 
         Validates every vertex id up front (:class:`DomainError` before
-        any work), then answers through the NumPy kernels when available
-        (see :mod:`repro.perf.kernels`) or a tight merge loop otherwise.
-        Results match ``[self.query(u, v) for u, v in pairs]`` exactly.
+        any work).  Results match ``[self.query(u, v) for u, v in
+        pairs]`` exactly.
         """
         if not len(pairs):
             return []
-        self._check_pairs(pairs)
-        accel = self._accelerator()
-        if accel is not None:
-            return accel.batch_query(pairs)
-        return self._batch_query_merge(pairs)
+        arr = self._vertices(pairs).reshape(len(pairs), 2)
+        return self._answers(
+            kernels.query_pairs(*self._triple(), arr[:, 0], arr[:, 1])
+        )
 
     def batch_query_from(
         self, source: int, targets: Optional[Sequence[int]] = None
@@ -327,137 +272,68 @@ class FlatHubLabeling:
         """Distances from one source to many targets (``None`` = all).
 
         The source-rooted special case of :meth:`batch_query` -- the
-        shape of verification sweeps and distance-matrix rows.  With
-        NumPy, explicit targets go through the pair kernel and
-        ``None`` through the all-vertices row pass.
+        shape of verification sweeps and distance-matrix rows.
+        Explicit targets go through the pair kernel and ``None``
+        through the all-vertices row pass.
         """
         self._check_vertex(source)
-        n = self.num_vertices
         if targets is None:
-            target_list: Sequence[int] = range(n)
-        else:
-            for t in targets:
-                if not 0 <= t < n:
-                    raise DomainError(f"vertex {t} outside 0..{n - 1}")
-            target_list = targets
-        accel = self._accelerator()
-        if accel is not None:
-            import numpy as np
-
-            if targets is None:
-                row = accel.query_row(source)
-            else:
-                vs = np.asarray(targets, dtype=np.int64)
-                row = accel.query_pairs(np.full(len(vs), source), vs)
-            big = accel._big
-            return [
-                INF if value >= big else value for value in row.tolist()
-            ]
-        return self._batch_query_merge([(source, t) for t in target_list])
+            return self._answers(kernels.query_row(*self._triple(), source))
+        vs = self._vertices(targets)
+        us = np.full(len(vs), source, dtype=np.int64)
+        return self._answers(kernels.query_pairs(*self._triple(), us, vs))
 
     def distance_row(self, source: int):
         """``d(source, v)`` for every vertex ``v`` as a float64 ndarray.
 
-        ``INF`` where no hub meets.  Served by the row pass when the
-        labeling qualifies, by the store's merge path otherwise; the
-        values equal :meth:`query`'s exactly (integral distances are
-        exact in float64).  Safe beside other threads reading the same
-        store: every kernel call allocates its own scratch.  Requires
-        NumPy.
+        ``INF`` where no hub meets; the values equal :meth:`query`'s
+        exactly (integral distances are exact in float64).  Safe beside
+        other threads reading the same store: every kernel call
+        allocates its own scratch.
         """
-        import numpy as np
-
         self._check_vertex(source)
-        accel = self._accelerator()
-        if accel is None:
-            return np.array(
-                self._batch_query_merge(
-                    [(source, t) for t in range(self.num_vertices)]
-                ),
-                dtype=np.float64,
-            )
-        row = accel.query_row(source)
+        row = kernels.query_row(*self._triple(), source)
         out = row.astype(np.float64)
-        out[row >= accel._big] = INF
+        out[row >= kernels.SENTINELS[row.dtype]] = INF
         return out
 
     def arrays(self):
         """The CSR triple as read-only NumPy views, without a copy.
 
-        Returns ``(offsets, hubs, dists)`` as int64 / int64 / float64
-        arrays over the store's own memory.  Requires NumPy.
+        Returns ``(offsets, hubs, dists)`` as int64 / int32 / dist-tier
+        arrays over the store's own memory.
         """
-        import numpy as np
+        return self._triple()
 
-        views = []
-        for values, dtype in (
-            (self._offsets, np.int64),
-            (self._hubs, np.int64),
-            (self._dists, np.float64),
-        ):
-            view = _as_view(np, values, dtype).view()
-            view.flags.writeable = False
-            views.append(view)
-        return tuple(views)
+    def _triple(self):
+        return self._offsets, self._hubs, self._dists
 
-    def _check_pairs(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        n = self.num_vertices
-        try:
-            import numpy as np
-
-            arr = np.asarray(pairs, dtype=np.int64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError
-            if (arr < 0).any() or (arr >= n).any():
-                bad = int(arr[(arr < 0) | (arr >= n)][0])
-                raise DomainError(f"vertex {bad} outside 0..{n - 1}")
-            return
-        except (ImportError, ValueError, TypeError, OverflowError):
-            pass
-        for u, v in pairs:
-            if not 0 <= u < n or not 0 <= v < n:
-                bad = u if not 0 <= u < n else v
-                raise DomainError(f"vertex {bad} outside 0..{n - 1}")
-
-    def _batch_query_merge(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[float]:
-        # Pure-Python fallback: same merge as query() with the attribute
-        # lookups hoisted out of the per-pair loop.
-        offsets, hubs, dists = self._offsets, self._hubs, self._dists
-        out: List[float] = []
-        append = out.append
-        for u, v in pairs:
-            i, end_i = offsets[u], offsets[u + 1]
-            j, end_j = offsets[v], offsets[v + 1]
-            best = INF
-            while i < end_i and j < end_j:
-                hi = hubs[i]
-                hj = hubs[j]
-                if hi == hj:
-                    candidate = dists[i] + dists[j]
-                    if candidate < best:
-                        best = candidate
-                    i += 1
-                    j += 1
-                elif hi < hj:
-                    i += 1
-                else:
-                    j += 1
-            append(_dedouble(best))
+    def _answers(self, best) -> List[float]:
+        """Kernel output as the dict store's answers: Python numbers,
+        INF where no hub meets."""
+        out = best.tolist()
+        if best.dtype.kind == "f":
+            return [_dedouble(value) for value in out]
+        for index in np.flatnonzero(
+            best >= kernels.SENTINELS[best.dtype]
+        ).tolist():
+            out[index] = INF
         return out
 
-    def _accelerator(self):
-        """The cached NumPy kernel index, or None when not applicable."""
-        if self._accel is None:
-            from .kernels import build_accelerator
-
-            built = build_accelerator(
-                self._offsets, self._hubs, self._dists, self.num_vertices
-            )
-            # False = "tried, not applicable"; cache either outcome.
-            self._accel = built if built is not None else False
-        return self._accel or None
+    def _vertices(self, values):
+        """``values`` as an int64 array, once every id in it is a vertex
+        of the store (two array comparisons, :class:`DomainError` naming
+        the first offender otherwise)."""
+        try:
+            arr = np.asarray(values, dtype=np.int64)
+        except OverflowError:  # ids beyond int64 are compared as objects
+            arr = np.asarray(values, dtype=object)
+        n = self.num_vertices
+        outside = (arr < 0) | (arr >= n)
+        if outside.any():
+            bad = int(arr[outside].flat[0])
+            raise DomainError(f"vertex {bad} outside 0..{n - 1}")
+        return arr
 
     # ------------------------------------------------------------------
     # Read accessors (HubLabeling-compatible)
@@ -468,30 +344,17 @@ class FlatHubLabeling:
         Materialized per call (the flat store has no dicts); use the
         array accessors in hot loops.
         """
-        self._check_vertex(vertex)
-        start, end = self._offsets[vertex], self._offsets[vertex + 1]
-        return {
-            int(self._hubs[i]): _dedouble(self._dists[i])
-            for i in range(start, end)
-        }
+        hubs, dists = self._run(vertex)
+        return {hub: _dedouble(dist) for hub, dist in zip(hubs, dists)}
 
     def hub_set(self, vertex: int) -> List[int]:
-        self._check_vertex(vertex)
-        start, end = self._offsets[vertex], self._offsets[vertex + 1]
-        return self._hubs[start:end].tolist()
+        return self._run(vertex)[0]
 
     def hub_distance(self, vertex: int, hub: int) -> Optional[float]:
-        self._check_vertex(vertex)
-        start, end = self._offsets[vertex], self._offsets[vertex + 1]
-        lo, hi = start, end
-        while lo < hi:  # binary search in the sorted run
-            mid = (lo + hi) // 2
-            if self._hubs[mid] < hub:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < end and self._hubs[lo] == hub:
-            return _dedouble(self._dists[lo])
+        hubs, dists = self._run(vertex)
+        at = bisect_left(hubs, hub)
+        if at < len(hubs) and hubs[at] == hub:
+            return _dedouble(dists[at])
         return None
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
@@ -520,24 +383,13 @@ class FlatHubLabeling:
         return len(self._hubs) / n if n else 0.0
 
     def max_size(self) -> int:
-        offsets = self._offsets
-        return int(
-            max(
-                (
-                    offsets[v + 1] - offsets[v]
-                    for v in range(self.num_vertices)
-                ),
-                default=0,
-            )
-        )
+        if not self.num_vertices:
+            return 0
+        return int(np.diff(self._offsets).max())
 
     def space_bytes(self) -> int:
         """Actual resident bytes of the three backing arrays."""
-        return (
-            len(self._offsets) * self._offsets.itemsize
-            + len(self._hubs) * self._hubs.itemsize
-            + len(self._dists) * self._dists.itemsize
-        )
+        return sum(values.nbytes for values in self._triple())
 
     def __repr__(self) -> str:
         return (
@@ -546,54 +398,12 @@ class FlatHubLabeling:
         )
 
 
-def _as_array(typecode: str, values) -> array:
-    """Coerce ``values`` to ``array(typecode)``, by buffer copy if flat.
-
-    NumPy arrays of the matching width are adopted via ``frombytes``
-    (one memcpy); anything else goes through the element-wise
-    constructor.
-    """
-    if isinstance(values, array) and values.typecode == typecode:
-        return values
-    out = array(typecode)
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is not None and isinstance(values, np.ndarray):
-        wanted = (
-            np.dtype(f"i{out.itemsize}") if typecode == "l" else np.float64
-        )
-        out.frombytes(
-            np.ascontiguousarray(values, dtype=wanted).tobytes()
-        )
-        return out
-    out.extend(int(v) if typecode == "l" else float(v) for v in values)
-    return out
-
-
-def _as_view(np, values, dtype):
-    """A C-contiguous NumPy view of ``values`` in ``dtype``, no copy.
-
-    NumPy arrays of the right dtype pass through; anything else
-    exposing the buffer protocol is wrapped with ``np.frombuffer``
-    (read-only by construction).  A dtype mismatch is a hard error --
-    silently reinterpreting bytes would serve garbage distances.
-    """
-    if isinstance(values, np.ndarray):
-        if values.dtype != dtype or not values.flags["C_CONTIGUOUS"]:
-            raise ValueError(
-                f"expected a contiguous {np.dtype(dtype).name} array, "
-                f"got {values.dtype.name}"
-            )
-        return values
-    view = memoryview(values)
-    if view.nbytes % np.dtype(dtype).itemsize:
-        raise ValueError(
-            f"buffer of {view.nbytes} bytes is not a whole number of "
-            f"{np.dtype(dtype).name} items"
-        )
-    return np.frombuffer(view, dtype=dtype)
+def _readonly(values: np.ndarray) -> np.ndarray:
+    """A C-contiguous, read-only view of ``values`` (copied only if
+    ``values`` is not contiguous)."""
+    view = np.ascontiguousarray(values).view()
+    view.flags.writeable = False
+    return view
 
 
 def _dedouble(value: float) -> float:
@@ -601,12 +411,11 @@ def _dedouble(value: float) -> float:
 
     ``HubLabeling`` stores whatever the construction added -- for
     unweighted graphs that is ``int`` -- and its ``query`` propagates
-    the type.  The ``array('d')`` backing store widens everything to
-    float; narrowing integral values back keeps the two backends'
-    answers indistinguishable (``0`` vs ``0.0`` matters to ``repr`` and
-    to exact-equality golden files).  NumPy-backed stores hand in
-    ``np.float64`` scalars; those are narrowed to plain ``float`` for
-    the same reason.
+    the type.  The ``float64`` dist tier holds every value as a double;
+    narrowing integral values back keeps the two backends' answers
+    indistinguishable (``0`` vs ``0.0`` matters to ``repr`` and to
+    exact-equality golden files).  NumPy ``float64`` scalars are
+    narrowed to plain ``float`` for the same reason.
     """
     if value == INF:
         return INF

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from array import array
 from collections import OrderedDict
 from typing import Hashable, List, Optional, Sequence, Tuple
 
@@ -42,35 +41,25 @@ def labeling_digest(store) -> str:
     """A sha256 hex digest of a label store's *content*.
 
     Accepts either label store (:class:`~repro.core.hublabel.HubLabeling`
-    dicts or :class:`~repro.perf.flat.FlatHubLabeling` CSR arrays) and
-    hashes the same canonical byte stream for both -- the CSR triple
-    ``offsets | hubs | dists`` with hubs ascending per run and distances
-    as doubles -- so the two layouts of one labeling share a digest,
-    mirroring their byte-identical query contract.  The flat store's
-    arrays are hashed as raw buffers (three ``update`` calls total);
-    the dict store is canonicalized into the same triple first, which
-    keeps a server swap O(labels) in C rather than O(labels) in Python
-    string formatting.
+    dicts or :class:`~repro.perf.flat.FlatHubLabeling` arrays) and
+    hashes the same canonical byte stream for both: the store's
+    version-3 triple -- int64 offsets, int32 hubs ascending per run, and
+    the distances in their narrowest exact tier, tagged by dtype.  A
+    dict store is frozen into that triple first, so a dict store, its
+    flat freeze and an ``mmap`` or shared-memory view of the same
+    labeling share one digest, mirroring their byte-identical query
+    contract.  The arrays are hashed as raw buffers (three ``update``
+    calls).
     """
-    offsets = getattr(store, "_offsets", None)
-    if offsets is None:
-        # Dict store: build the canonical CSR triple the flat layout
-        # already holds, then hash the identical bytes.
-        offsets = array("l", [0])
-        hubs = array("l")
-        dists = array("d")
-        for vertex in range(store.num_vertices):
-            entries = sorted(store.hubs(vertex).items())
-            hubs.extend(entry[0] for entry in entries)
-            dists.extend(float(entry[1]) for entry in entries)
-            offsets.append(len(hubs))
-    else:
-        hubs, dists = store._hubs, store._dists
+    if not hasattr(store, "arrays"):
+        from ..perf.flat import FlatHubLabeling
+
+        store = FlatHubLabeling.from_labeling(store)
+    offsets, hubs, dists = store.arrays()
     hasher = hashlib.sha256()
-    hasher.update(f"csr1:n{store.num_vertices}:".encode())
-    hasher.update(offsets.tobytes())
-    hasher.update(hubs.tobytes())
-    hasher.update(dists.tobytes())
+    hasher.update(f"csr3:n{store.num_vertices}:{dists.dtype.str}:".encode())
+    for values in (offsets, hubs, dists):
+        hasher.update(memoryview(values))
     return hasher.hexdigest()
 
 

@@ -256,8 +256,8 @@ class TestFlatStore:
         _assert_answer_identical(dyn, "after-snapshot")
 
     def test_repair_without_the_kernel(self):
-        # Distances of 2 * 20000 >= 32000 keep the row kernel off, so
-        # detection runs on the store's merge path.
+        # Distances of 20000 and more take the uint32 dist tier, so
+        # detection, invalidation and the splice run on it.
         g = random_weighted_graph(10, 16, seed=22)
         heavy = Graph(g.num_vertices)
         for a, b, w in g.edges():
@@ -267,7 +267,7 @@ class TestFlatStore:
         )
         script = mutation_script(heavy, 6, seed=22, keep_connected=False)
         for index, op in enumerate(script):
-            assert dyn.flat()._accelerator() is None
+            assert dyn.flat().arrays()[2].dtype.name == "uint32"
             rep = dyn.apply(MutationScript(ops=(op,)))[0]
             assert not rep.rebuilt
             _assert_answer_identical(dyn, f"op {index} {op}")

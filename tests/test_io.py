@@ -1,5 +1,7 @@
 """Serialization round trips (JSON, binary, edge lists)."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,12 @@ from repro.core import (
     labeling_to_json,
     pruned_landmark_labeling,
 )
-from repro.graphs import Graph, random_sparse_graph, random_weighted_graph
+from repro.graphs import (
+    Graph,
+    random_sparse_graph,
+    random_tree,
+    random_weighted_graph,
+)
 
 
 def labelings_equal(a: HubLabeling, b: HubLabeling) -> bool:
@@ -138,6 +145,57 @@ class TestFlatArtifact:
         back = flat_labeling_from_bytes(flat_labeling_to_bytes(flat))
         assert back.num_vertices == 0
         assert back.total_size() == 0
+
+
+class TestV2Artifact:
+    """A version-2 artifact written by an earlier release (int64 hubs,
+    float64 distances) loads one way into the version-3 layout."""
+
+    FIXTURE = pathlib.Path(__file__).parent / "data" / "flat_labels_v2.rhl"
+
+    @staticmethod
+    def _reference():
+        # The graph the fixture was built from: two trees, so pairs
+        # across them are INF.
+        graph = Graph(24)
+        for offset, size, seed in ((0, 15, 4), (15, 9, 5)):
+            for u, v, w in random_tree(size, seed=seed).edges():
+                graph.add_edge(offset + u, offset + v, w)
+        return pruned_landmark_labeling(graph)
+
+    def test_loads_answer_identical(self):
+        from repro.core.io import flat_labeling_from_bytes
+
+        blob = self.FIXTURE.read_bytes()
+        assert blob[4] == 2
+        reference = self._reference()
+        pairs = [(u, v) for u in range(24) for v in range(24)]
+        expected = [(type(d), d) for d in (reference.query(u, v) for u, v in pairs)]
+        flat = flat_labeling_from_bytes(blob)
+        assert [a.dtype.name for a in flat.arrays()] == ["int64", "int32", "uint16"]
+        assert [(type(d), d) for d in flat.batch_query(pairs)] == expected
+        assert [(type(d), d) for d in (flat.query(u, v) for u, v in pairs)] == expected
+        thawed = labeling_from_bytes(blob)
+        assert [(type(d), d) for d in (thawed.query(u, v) for u, v in pairs)] == expected
+
+    def test_cannot_be_mapped_and_resaves_as_v3(self):
+        from repro.core.io import (
+            flat_labeling_from_bytes,
+            flat_labeling_to_bytes,
+            flat_labeling_view,
+        )
+        from repro.runtime.errors import ArtifactCorruptError
+
+        blob = self.FIXTURE.read_bytes()
+        with pytest.raises(ArtifactCorruptError, match="version 2"):
+            flat_labeling_view(blob)
+        resaved = flat_labeling_to_bytes(flat_labeling_from_bytes(blob))
+        assert resaved[4] == 3
+        assert len(resaved) < len(blob)
+        view = flat_labeling_view(resaved, verify_crc=True, validate=True)
+        reference = self._reference()
+        for v in range(24):
+            assert view.hubs(v) == reference.hubs(v)
 
 
 class TestEdgeList:

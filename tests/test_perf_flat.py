@@ -12,12 +12,18 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HubLabeling, pruned_landmark_labeling
 from repro.core.fastquery import SortedHubIndex
+from repro.core.io import (
+    flat_labeling_from_bytes,
+    flat_labeling_to_bytes,
+    flat_labeling_view,
+)
 from repro.graphs import INF, Graph, random_sparse_graph, random_tree
 from repro.lowerbound import build_degree3_instance
 from repro.perf import FlatHubLabeling
@@ -172,7 +178,6 @@ class TestBatchEquality:
         # Every kernel call allocates its own scratch, so readers on
         # several threads may query one store with no lock at all.
         flat = build_flat_labels(build_degree3_instance(2, 1).graph)
-        assert flat._accelerator() is not None
         n = flat.num_vertices
         rng = random.Random(11)
         uniform = [(rng.randrange(n), rng.randrange(n)) for _ in range(600)]
@@ -217,21 +222,22 @@ class TestBatchEquality:
             sys.setswitchinterval(interval)
         assert wrong == []
 
-    def test_distance_row_without_kernel(self):
+    @pytest.mark.parametrize("far, tier", [(20000, "uint32"), (2.5, "float64")])
+    def test_distance_row_on_wide_tiers(self, far, tier):
         lab = HubLabeling(3)
         lab.add_hub(0, 0, 0)
-        lab.add_hub(1, 0, 20000)
+        lab.add_hub(1, 0, far)
         lab.add_hub(1, 1, 0)
         lab.add_hub(2, 2, 0)
         flat = FlatHubLabeling.from_labeling(lab)
-        assert flat._accelerator() is None
-        assert flat.distance_row(1).tolist() == [20000, 0, INF]
+        assert flat.arrays()[2].dtype.name == tier
+        assert flat.distance_row(1).tolist() == [far, 0, INF]
 
     def test_arrays_are_read_only_views(self, connected_case):
         _, flat = connected_case
         offsets, hubs, dists = flat.arrays()
         assert (offsets.dtype.name, hubs.dtype.name, dists.dtype.name) == (
-            "int64", "int64", "float64",
+            "int64", "int32", "uint16",
         )
         assert len(offsets) == flat.num_vertices + 1
         assert len(hubs) == len(dists) == flat.total_size()
@@ -243,35 +249,49 @@ class TestBatchEquality:
         _, flat = connected_case
         assert flat.batch_query([]) == []
 
-    def test_pure_python_merge_agrees(self, connected_case):
+    def test_scalar_merge_agrees_with_kernel(self, connected_case):
         labeling, flat = connected_case
         pairs = _all_pairs(labeling.num_vertices)[:300]
-        assert flat._batch_query_merge(pairs) == flat.batch_query(pairs)
+        assert _typed([flat.query(u, v) for u, v in pairs]) == _typed(
+            flat.batch_query(pairs)
+        )
+
+    def test_ndarray_targets_answer_python_numbers(self, disconnected_case):
+        labeling, flat = disconnected_case
+        targets = np.array([0, 5, 21, 39, 5], dtype=np.int64)
+        row = flat.batch_query_from(3, targets)
+        assert _typed(row) == _typed([labeling.query(3, v) for v in targets])
+        for bad in ([0, 40], np.array([-1, 2]), [2**70]):
+            with pytest.raises(DomainError, match="outside 0..39"):
+                flat.batch_query_from(3, bad)
 
 
-class TestAcceleratorGating:
-    def test_accelerator_used_on_integral_labels(self, connected_case):
+class TestDistTiers:
+    """Each labeling is frozen once into the narrowest exact dist dtype,
+    and the kernels answer every tier."""
+
+    def test_integral_labels_take_uint16(self, connected_case):
         _, flat = connected_case
-        if kernels.HAVE_NUMPY:
-            assert flat._accelerator() is not None
+        assert flat.arrays()[2].dtype.name == "uint16"
+        assert flat.space_bytes() == 8 * (flat.num_vertices + 1) + 6 * flat.total_size()
 
-    def test_fractional_distances_fall_back(self):
+    def test_fractional_distances_take_float64(self):
         lab = HubLabeling(2)
         lab.add_hub(0, 0, 0.5)
         lab.add_hub(1, 0, 0.25)
         flat = FlatHubLabeling.from_labeling(lab)
-        assert flat._accelerator() is None
+        assert flat.arrays()[2].dtype.name == "float64"
         assert flat.query(0, 1) == 0.75
         assert flat.batch_query([(0, 1)]) == [0.75]
 
-    def test_huge_distances_fall_back(self):
+    def test_huge_distances_take_uint32(self):
         lab = HubLabeling(2)
         lab.add_hub(0, 0, 20000)
         lab.add_hub(1, 0, 1)
         flat = FlatHubLabeling.from_labeling(lab)
-        # 2 * max_dist would overflow the uint16 sentinel headroom.
-        assert flat._accelerator() is None
-        assert flat.batch_query([(0, 1), (1, 1)]) == [20001, 2]
+        # 2 * 20000 would overflow uint16's sentinel headroom.
+        assert flat.arrays()[2].dtype.name == "uint32"
+        assert _typed(flat.batch_query([(0, 1), (1, 1)])) == _typed([20001, 2])
 
 
 class TestSortedHubIndexInterop:
@@ -348,6 +368,61 @@ def _scattered_tickets(draw):
     return labeling, pairs, root, targets
 
 
+#: Distances around every dist tier boundary: uint16 holds < 16000,
+#: uint32 integral < 2**30, float64 the rest (``k + 0.25`` keeps every
+#: sum of two fractional entries fractional, so its type is float).
+_TIER_DISTANCES = {
+    "uint16": st.sampled_from([0, 1, 7, 15998, 15999]),
+    "uint32": st.sampled_from([0, 3, 16000, 2**30 - 2, 2**30 - 1]),
+    "float64": st.sampled_from([0, 5, 2**30, 2**30 + 1, 2**40]),
+    "fractional": st.integers(min_value=0, max_value=50).map(
+        lambda k: k + 0.25
+    ),
+}
+
+
+@st.composite
+def _tiered_labelings(draw):
+    """A labeling with its distances drawn around one tier boundary,
+    some empty labels and many non-meeting (disconnected) pairs."""
+    tier = draw(st.sampled_from(sorted(_TIER_DISTANCES)))
+    n = draw(st.integers(min_value=1, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    entries = draw(
+        st.lists(st.tuples(vertex, vertex, _TIER_DISTANCES[tier]), max_size=30)
+    )
+    labeling = HubLabeling(n)
+    for v, hub, dist in entries:
+        labeling.add_hub(v, hub, dist)
+    return labeling, draw(vertex), draw(st.lists(vertex, max_size=12))
+
+
+class TestTierBoundaries:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_tiered_labelings())
+    def test_every_door_matches_the_dict_store(self, case):
+        labeling, source, targets = case
+        n = labeling.num_vertices
+        flat = FlatHubLabeling.from_labeling(labeling)
+        pairs = _all_pairs(n)
+        expected = [labeling.query(u, v) for u, v in pairs]
+        row = [labeling.query(source, v) for v in range(n)]
+        assert _typed(flat.batch_query(pairs)) == _typed(expected)
+        assert _typed([flat.query(u, v) for u, v in pairs]) == _typed(expected)
+        assert _typed(flat.batch_query_from(source)) == _typed(row)
+        assert _typed(flat.batch_query_from(source, targets)) == _typed(
+            [row[t] for t in targets]
+        )
+        assert flat.distance_row(source).tolist() == [float(d) for d in row]
+        for v in range(n):
+            assert flat.hubs(v) == labeling.hubs(v)
+        # Envelope v3 keeps the tier, with odd and even entry counts.
+        blob = flat_labeling_to_bytes(flat)
+        for back in (flat_labeling_from_bytes(blob), flat_labeling_view(blob)):
+            assert back.arrays()[2].dtype == flat.arrays()[2].dtype
+            assert _typed(back.batch_query(pairs)) == _typed(expected)
+
+
 class TestScatteredPairKernel:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -358,7 +433,6 @@ class TestScatteredPairKernel:
     def test_blocked_tickets_agree(self, case, per_block, per_pass):
         labeling, pairs, root, targets = case
         flat = FlatHubLabeling.from_labeling(labeling)
-        assert flat._accelerator() is not None
         n = labeling.num_vertices
         with pytest.MonkeyPatch.context() as mp:
             # A few sources per block, so one ticket spans several

@@ -175,6 +175,26 @@ class TestLabelingDigest:
         flat = FlatHubLabeling.from_labeling(served_labeling)
         assert labeling_digest(served_labeling) == labeling_digest(flat)
 
+    def test_every_view_of_one_labeling_shares_digest(
+        self, served_labeling, tmp_path
+    ):
+        # The generation token hashes the version-3 triple, so a dict
+        # store, its flat freeze, an mmap view and a shm view agree.
+        from repro.core.io import flat_labeling_to_bytes
+        from repro.perf.shm import MappedLabelStore, SharedLabelStore
+
+        flat = FlatHubLabeling.from_labeling(served_labeling)
+        path = tmp_path / "labels.rhl"
+        path.write_bytes(flat_labeling_to_bytes(flat))
+        with MappedLabelStore(path) as mapped, SharedLabelStore.create(
+            flat
+        ) as shared:
+            digests = {
+                labeling_digest(store)
+                for store in (served_labeling, flat, mapped.flat, shared.flat)
+            }
+            assert len(digests) == 1
+
     def test_different_labelings_differ(self, served_labeling):
         other = pruned_landmark_labeling(random_sparse_graph(60, seed=6))
         assert labeling_digest(served_labeling) != labeling_digest(other)
