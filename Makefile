@@ -81,10 +81,12 @@ corpus-check:
 	python tools/gen_mutation_corpus.py --check
 
 # Dynamic-labeling churn: incremental repair graded against a full
-# rebuild (offline and per-op), then mutations hot-swapped into a
-# sharded server under live load, then the dynamic test file.
+# rebuild (offline and per-op; the ba:400 run turns both budgets off,
+# so every edit repairs), then mutations hot-swapped into a sharded
+# server under live load, then the dynamic test file.
 churn-bench:
 	python -m repro mutate --generator sparse:100 --ops 16 --verify-each
+	python -m repro mutate --generator ba:400 --ops 200 --verify-each --allow-disconnect --rebuild-fraction 1.0 --staleness-budget 1e9
 	python -m repro loadgen --generator sparse:200 --clients 4 --requests 400 --churn 16 --processes 2
 	pytest tests/test_dynamic.py
 

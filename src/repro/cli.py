@@ -1151,8 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mutate.add_argument(
         "--staleness-budget", type=float, default=4.0, metavar="B",
-        help="accumulated affected-root fraction that forces a full "
-        "rebuild (default 4.0)",
+        help="accumulated affected-root fraction plus net label growth "
+        "that forces a full rebuild (default 4.0)",
     )
     p_mutate.add_argument(
         "--cache-dir",

@@ -3,41 +3,53 @@
 The labeling lives in one immutable
 :class:`~repro.perf.flat.FlatHubLabeling`; every edit produces a new
 store and never touches the old one, so a store handed to a server
-keeps answering exactly as it did.  The repair is the same four phases
-for both mutation kinds:
+keeps answering exactly as it did.
 
-1. **Detect** the affected hub roots against the *pre-mutation* store,
-   from the two distance rows ``d(u, .)`` and ``d(v, .)`` (the row
-   kernel, over every dist tier) and one vectorised comparison.  An edge ``{u, v}`` of weight ``w`` lies
-   on some shortest path from root ``r`` iff ``d(r,u) + w == d(r,v)``
-   or ``d(r,v) + w == d(r,u)`` (deletion can only disturb such roots);
-   an insert improves some distance from ``r`` iff
-   ``d(r,u) + w < d(r,v)`` or ``d(r,v) + w < d(r,u)``.  Roots outside
-   the affected set keep every distance unchanged, so their label
-   entries stay exact.
-2. **Invalidate**: mask out every CSR entry whose hub is affected --
-   this covers all entries whose witness paths could have used the
-   edge.
-3. **Re-sweep**: re-run the pruned traversal from each affected root in
-   pinned-order rank, pruning only against hubs of strictly higher
-   rank (exactly the label state a static PLL sweep would see).  A
-   vertex's surviving run is thawed into a dict the first time a sweep
-   visits it, once per repair.
-4. **Splice** the surviving entries and the re-swept ones into a fresh
-   CSR, hubs ascending within each run, in the narrowest dist tier
-   that holds them.
+Every edit first **detects** the roots it affects, against the
+*pre-mutation* store, from the two distance rows ``d(u, .)`` and
+``d(v, .)`` (the row kernel, over every dist tier) and one vectorised
+comparison.  An edge ``{u, v}`` of weight ``w`` lies on some shortest
+path from root ``r`` iff ``d(r,u) + w == d(r,v)`` or
+``d(r,v) + w == d(r,u)`` (deletion can only disturb such roots); an
+insert improves some distance from ``r`` iff ``d(r,u) + w < d(r,v)``
+or ``d(r,v) + w < d(r,u)``.  The detected fraction feeds the rebuild
+budget; a delete also uses the set itself.
 
-The resulting labeling is *answer-identical* to a from-scratch PLL
-rebuild under the pinned order: all surviving and re-added entries are
-exact distances, and for any pair the highest-ranked vertex on a
-shortest path is either unaffected (its old entries survive and the
-static cover argument applies verbatim -- a pruning witness would be a
-higher-ranked vertex on a still-shortest path) or affected (its
-re-sweep replays the static sweep against exact entries).  The hub
-*sets* may differ from the canonical rebuild; the answers may not.
+* **Insert** (resumed repair, after Akiba, Iwata and Yoshida, WWW
+  2014): nothing is invalidated.  For each hub ``h`` of ``L(u)``, in
+  rank order, ``h``'s pruned sweep resumes at ``v`` from
+  ``L(u)[h] + w``; symmetrically for the hubs of ``L(v)``.  Only
+  ``|L(u)| + |L(v)|`` roots are swept.
+* **Delete**: **invalidate** every CSR entry whose hub is affected,
+  then **re-sweep** each affected root from itself at distance 0, in
+  rank order.
+
+Both edit kinds run the same pruned sweep (one per semantics, BFS and
+Dijkstra).  A visit of ``x`` at distance ``d`` in root ``h``'s sweep
+is pruned when a hub ranked at or above ``h`` (``h`` included)
+already certifies ``<= d``; otherwise it writes ``L(x)[h] = d``,
+overwriting a larger entry.  A vertex's run is thawed into a dict the
+first time a sweep visits it, once per repair.  The **splice** then
+merges the writes into a fresh CSR in one vectorised pass: a write
+whose ``(vertex, hub)`` key already exists replaces that entry's
+distance, every other write is inserted, hubs ascending within each
+run, in the narrowest dist tier that holds them.
+
+Two invariants hold after every edit, and together they make every
+answer *identical* to a from-scratch PLL rebuild under the pinned
+order (docs/dynamic.md has the argument):
+
+1. every entry ``L(x)[h]`` is an upper bound on ``d(h, x)``;
+2. whenever ``h`` is the top-ranked vertex on every shortest ``h``-``s``
+   path, ``L(s)`` holds ``h`` at exactly ``d(h, s)``.
+
+The hub *sets* may differ from the canonical rebuild, and an insert
+can leave stale (too large, never too small) entries behind; the
+answers may not differ.
 
 Once a single mutation touches more than ``rebuild_fraction`` of the
-roots, or the accumulated affected fraction crosses
+roots, or the staleness accumulator -- detected root fractions plus
+the net label growth relative to the size at the last build -- crosses
 ``staleness_budget``, repair is abandoned for a full rebuild served
 through the optional :class:`~repro.perf.cache.LabelCache` (or
 :func:`~repro.perf.build.build_flat_labels` without one).
@@ -76,7 +88,13 @@ __all__ = ["DynamicHubLabeling", "RepairReport"]
 
 @dataclass
 class RepairReport:
-    """What one ``insert_edge`` / ``delete_edge`` call did."""
+    """What one ``insert_edge`` / ``delete_edge`` call did.
+
+    ``affected_roots`` counts the roots whose sweeps ran (for an
+    insert, the endpoint hubs resumed), or the detected roots when the
+    edit rebuilt.  An overwritten entry counts as one removed and one
+    added, so ``labels_added - labels_removed`` is the label growth.
+    """
 
     op: str
     u: int
@@ -89,10 +107,15 @@ class RepairReport:
     seconds: float
 
     def render(self) -> str:
-        how = "full rebuild" if self.rebuilt else "incremental repair"
+        if self.rebuilt:
+            how, roots = "full rebuild", "affected"
+        elif self.op == "insert":
+            how, roots = "resumed repair", "swept"
+        else:
+            how, roots = "incremental repair", "swept"
         return (
             f"{self.op} {{{self.u}, {self.v}}} w={self.weight}: "
-            f"{how}, {self.affected_roots} affected roots, "
+            f"{how}, {self.affected_roots} {roots} roots, "
             f"-{self.labels_removed}/+{self.labels_added} labels, "
             f"{self.seconds * 1e3:.2f} ms"
         )
@@ -156,9 +179,8 @@ class DynamicHubLabeling:
         self._cache = cache
         self._rebuild_fraction = rebuild_fraction
         self._staleness_budget = staleness_budget
-        self._staleness = 0.0
         self._mutations = 0
-        self._store = self._build()
+        self._rebuild()
         registry = get_registry()
         if registry.enabled:
             # Pre-create the rebuild counter so a churn run that never
@@ -191,7 +213,8 @@ class DynamicHubLabeling:
 
     @property
     def staleness(self) -> float:
-        """Accumulated affected-root fraction since the last full build."""
+        """Detected-root fractions accumulated since the last full build,
+        plus the net label growth over the entries that build held."""
         return self._staleness
 
     def query(self, u: int, v: int) -> float:
@@ -214,9 +237,12 @@ class DynamicHubLabeling:
     def insert_edge(self, u: int, v: int, weight: int = 1) -> RepairReport:
         """Add edge ``{u, v}`` and repair the labeling incrementally.
 
-        Raises ``ValueError`` if the edge is already present (parallel
-        edges are not stored, so a duplicate insert is almost always a
-        script bug) and propagates ``add_edge``'s validation errors.
+        The repair resumes the sweeps of the hubs of ``L(u)`` and
+        ``L(v)`` across the new edge; detection only sizes the edit
+        for the rebuild budget.  Raises ``ValueError`` if the edge is
+        already present (parallel edges are not stored, so a duplicate
+        insert is almost always a script bug) and propagates
+        ``add_edge``'s validation errors.
         """
         if self._graph.has_edge(u, v):
             raise ValueError(f"edge {{{u}, {v}}} already present")
@@ -226,9 +252,11 @@ class DynamicHubLabeling:
             affected = self._affected_roots(u, v, weight, insert=True)
             stages.done("detect")
             self._graph.add_edge(u, v, weight)
-            removed, added, rebuilt = self._repair_or_rebuild(affected, stages)
+            swept, removed, added, rebuilt = self._repair_or_rebuild(
+                affected, stages, (u, v, weight)
+            )
         return self._report(
-            "insert", u, v, weight, affected, removed, added, rebuilt,
+            "insert", u, v, weight, swept, removed, added, rebuilt,
             time.perf_counter() - started, DYNAMIC_INSERTS, stages,
         )
 
@@ -246,9 +274,11 @@ class DynamicHubLabeling:
             affected = self._affected_roots(u, v, weight, insert=False)
             stages.done("detect")
             self._graph.remove_edge(u, v)
-            removed, added, rebuilt = self._repair_or_rebuild(affected, stages)
+            swept, removed, added, rebuilt = self._repair_or_rebuild(
+                affected, stages, None
+            )
         return self._report(
-            "delete", u, v, weight, affected, removed, added, rebuilt,
+            "delete", u, v, weight, swept, removed, added, rebuilt,
             time.perf_counter() - started, DYNAMIC_DELETES, stages,
         )
 
@@ -274,7 +304,8 @@ class DynamicHubLabeling:
 
         An insert affects the roots whose distances the new edge
         improves; a delete, the roots with some shortest path through
-        ``{u, v}``.  ``du[r] = d(r, u)`` by symmetry of the labeling.
+        ``{u, v}``.  ``du[r] = d(r, u)`` by symmetry of the labeling,
+        and both rows are exact: entries may overshoot, answers never.
         """
         du = self._store.distance_row(u)
         dv = self._store.distance_row(v)
@@ -286,7 +317,14 @@ class DynamicHubLabeling:
             mask = (du != INF) & ((du + weight == dv) | (dv + weight == du))
         return np.flatnonzero(mask).tolist()
 
-    def _repair_or_rebuild(self, affected: List[int], stages: _Stages):
+    def _repair_or_rebuild(self, affected: List[int], stages: _Stages, edge):
+        """Repair the store for an edit already applied to the graph.
+
+        ``edge`` is the inserted ``(u, v, w)``, whose endpoint hubs'
+        sweeps resume, or ``None`` for a delete, whose ``affected``
+        roots are invalidated and re-swept.  Returns
+        ``(roots swept, removed, added, rebuilt)``.
+        """
         n = self._graph.num_vertices
         fraction = len(affected) / n if n else 0.0
         self._mutations += 1
@@ -297,30 +335,33 @@ class DynamicHubLabeling:
             or self._staleness >= self._staleness_budget
         ):
             before = self._store.total_size()
-            self._store = self._build()
-            self._staleness = 0.0
+            self._rebuild()
             stages.done("rebuild")
-            return before, self._store.total_size(), True
-        survivors, removed = self._invalidate(affected)
-        stages.done("invalidate")
-        additions = self._resweep(affected, survivors)
+            return len(affected), before, self._store.total_size(), True
+        if edge is None:
+            survivors, removed = self._invalidate(affected)
+            stages.done("invalidate")
+        else:
+            survivors, removed = self._store.arrays(), 0
+        swept, additions = self._resweep(survivors, affected, edge)
         stages.done("resweep")
-        if affected:  # otherwise nothing changed: keep the store
-            self._store = self._splice(survivors, additions)
+        added = 0
+        if removed or additions[0]:  # otherwise nothing changed
+            self._store, overwritten, added = self._splice(survivors, additions)
+            removed += overwritten
         stages.done("splice")
-        return removed, len(additions[0]), False
+        self._staleness += (added - removed) / max(self._built_size, 1)
+        return swept, removed, added, False
 
     def _invalidate(self, affected: List[int]):
         """The CSR minus every entry whose hub is affected.
 
-        Returns ``((offsets, hubs, dists, owner), removed)``, where
-        ``owner[i]`` is the vertex whose run holds entry ``i``.  With
-        nothing affected these are the store's own read-only views and
-        ``owner`` is ``None``.
+        Returns ``((offsets, hubs, dists), removed)``; with nothing
+        affected, the store's own read-only views.
         """
         offsets, hubs, dists = self._store.arrays()
         if not affected:
-            return (offsets, hubs, dists, None), 0
+            return (offsets, hubs, dists), 0
         n = len(offsets) - 1
         stale = np.zeros(n, dtype=bool)
         stale[affected] = True
@@ -328,19 +369,27 @@ class DynamicHubLabeling:
         owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))[keep]
         kept = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=n), out=kept[1:])
-        removed = len(hubs) - len(owner)
-        return (kept, hubs[keep], dists[keep], owner), removed
+        return (kept, hubs[keep], dists[keep]), len(hubs) - len(owner)
 
-    def _resweep(self, affected: List[int], survivors):
-        """Static-semantics pruned sweeps from the affected roots.
+    def _resweep(self, survivors, affected: List[int], edge):
+        """Pruned sweeps over the survivors.
 
-        Prunes against the surviving entries plus the entries this
-        repair has already added; returns the additions as
-        ``(vertices, hubs, dists)`` lists.
+        A delete (``edge is None``) sweeps each affected root from
+        itself at distance 0; an insert resumes, for each hub ``h`` of
+        ``L(u)``, ``h``'s sweep at ``v`` from ``L(u)[h] + w``, and
+        symmetrically for ``L(v)``.  Roots go in rank order.  Each
+        sweep prunes against the survivors plus this repair's earlier
+        writes.  Returns ``(roots swept, (vertices, hubs, dists))``.
+
+        No ``(vertex, hub)`` key is written twice in one repair: a
+        sweep visits a vertex once, a delete sweeps each root once, and
+        an insert's two resumed sweeps of one hub ``h`` cannot both
+        write a vertex ``x``.  Each write would beat ``d(h, x)`` before
+        the edit, yet the sweep resumed at ``v`` never passes ``u`` and
+        the one resumed at ``u`` never passes ``v``, so the two
+        distances sum to at least twice it.
         """
-        if not affected:
-            return [], [], []
-        offsets, hubs, dists, _ = survivors
+        offsets, hubs, dists = survivors
         graph = self._graph
         if dists.dtype.kind == "f" and (dists == np.floor(dists)).all():
             dists = dists.astype(np.int64)
@@ -357,70 +406,96 @@ class DynamicHubLabeling:
             return row
 
         rank = self._rank
-        sweep = _ranked_pruned_dijkstra if graph.is_weighted else _ranked_pruned_bfs
+        if edge is None:
+            roots = sorted(affected, key=rank.__getitem__)
+            sweeps = [(root, root, 0) for root in roots]
+        else:
+            u, v, w = edge
+            at_u, at_v = thaw(u), thaw(v)
+            roots = sorted(at_u.keys() | at_v.keys(), key=rank.__getitem__)
+            sweeps = [
+                (root, start, label[root] + w)
+                for root in roots
+                for start, label in ((v, at_u), (u, at_v))
+                if root in label
+            ]
+        sweep = _pruned_sweep_dijkstra if graph.is_weighted else _pruned_sweep_bfs
         vertices: List[int] = []
-        roots: List[int] = []
+        hub_ids: List[int] = []
         depths: List[float] = []
-        for root in sorted(affected, key=rank.__getitem__):
+        for root, start, offset in sweeps:
             before = len(vertices)
-            sweep(graph, root, rows, thaw, rank, vertices, depths)
-            roots.extend([root] * (len(vertices) - before))
-        return vertices, roots, depths
+            sweep(graph, root, start, offset, rows, thaw, rank, vertices, depths)
+            hub_ids.extend([root] * (len(vertices) - before))
+        return len(roots), (vertices, hub_ids, depths)
 
-    def _splice(self, survivors, additions) -> FlatHubLabeling:
-        """Merge survivors and additions into a fresh CSR store.
+    def _splice(self, survivors, additions):
+        """Merge the sweeps' writes into the survivors as a fresh store.
 
-        The merged distances take the wider of the survivors' dist tier
-        and the additions' (a repair can push ``max_dist`` across a
-        tier); the store then narrows them to the tightest tier.
+        A write whose ``(vertex, hub)`` key a survivor holds replaces
+        that survivor's distance; the others are inserted in key
+        order.  The merged distances take the wider of the survivors'
+        dist tier and the writes' (a repair can push ``max_dist``
+        across a tier); the store then narrows them to the tightest
+        tier.  Returns ``(store, overwritten, added)``.
         """
-        offsets, hubs, dists, owner = survivors
-        add_v, add_h, add_d = additions
+        offsets, hubs, dists = survivors
         n = len(offsets) - 1
-        if add_v:
-            add_v = np.array(add_v, dtype=np.int64)
-            add_h = np.array(add_h, dtype=np.int32)
-            add_d = np.array(add_d)
-            keys = add_v * n + add_h
-            order = np.argsort(keys)
-            add_v, add_h, add_d = add_v[order], add_h[order], add_d[order]
-            # Survivor keys ascend (vertex-major, hubs ascending per
-            # run), and no addition collides with one: every entry of
-            # an affected root was invalidated.  Each addition lands
-            # after the survivors below its key and the additions
-            # before it.
-            at = np.searchsorted(owner * n + hubs, keys[order])
-            at += np.arange(len(at))
-            total = len(hubs) + len(at)
-            from_survivors = np.ones(total, dtype=bool)
+        add_v = np.array(additions[0], dtype=np.int64)
+        add_h = np.array(additions[1], dtype=np.int32)
+        add_d = np.array(additions[2])
+        keys = add_v * n + add_h
+        order = np.argsort(keys)
+        keys, add_v, add_h, add_d = (
+            keys[order], add_v[order], add_h[order], add_d[order]
+        )
+        # Survivor keys ascend (vertex-major, hubs ascending per run).
+        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        held = owner * n + hubs
+        at = np.searchsorted(held, keys)
+        hit = at < len(held)
+        hit[hit] = held[at[hit]] == keys[hit]
+        dists = dists.astype(np.promote_types(dists.dtype, dist_dtype(add_d)))
+        dists[at[hit]] = add_d[hit]
+        new = ~hit
+        inserted = int(new.sum())
+        if inserted:
+            # Each insertion lands after the survivors below its key
+            # and the insertions before it.
+            at = at[new] + np.arange(inserted)
+            from_survivors = np.ones(len(hubs) + inserted, dtype=bool)
             from_survivors[at] = False
-            merged_hubs = np.empty(total, dtype=np.int32)
-            merged_hubs[at] = add_h
-            merged_hubs[from_survivors] = hubs
-            merged_dists = np.empty(
-                total, dtype=np.promote_types(dists.dtype, dist_dtype(add_d))
-            )
-            merged_dists[at] = add_d
-            merged_dists[from_survivors] = dists
-            counts = np.diff(offsets) + np.bincount(add_v, minlength=n)
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            hubs, dists = merged_hubs, merged_dists
-        return FlatHubLabeling(offsets, hubs, dists, validate=False)
 
-    def _build(self) -> FlatHubLabeling:
+            def merge(kept, fresh):
+                out = np.empty(len(from_survivors), dtype=kept.dtype)
+                out[at] = fresh
+                out[from_survivors] = kept
+                return out
+
+            hubs, dists = merge(hubs, add_h[new]), merge(dists, add_d[new])
+            grown = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(add_v[new], minlength=n), out=grown[1:])
+            offsets = offsets + grown
+        store = FlatHubLabeling(offsets, hubs, dists, validate=False)
+        return store, len(keys) - inserted, len(keys)
+
+    def _rebuild(self) -> None:
+        """Replace the store with a full build and reset the budget."""
         if self._cache is not None:
-            return self._cache.load_or_build(self._graph, list(self._order))
-        return build_flat_labels(self._graph, list(self._order))
+            self._store = self._cache.load_or_build(self._graph, list(self._order))
+        else:
+            self._store = build_flat_labels(self._graph, list(self._order))
+        self._built_size = self._store.total_size()
+        self._staleness = 0.0
 
     def _report(
-        self, op, u, v, weight, affected, removed, added, rebuilt,
+        self, op, u, v, weight, swept, removed, added, rebuilt,
         seconds, op_metric, stages,
     ) -> RepairReport:
         registry = get_registry()
         if registry.enabled:
             registry.counter(op_metric).inc()
-            registry.gauge(DYNAMIC_AFFECTED_ROOTS).set(len(affected))
+            registry.gauge(DYNAMIC_AFFECTED_ROOTS).set(swept)
             registry.counter(DYNAMIC_LABELS_REPAIRED).inc(removed + added)
             registry.histogram(DYNAMIC_REPAIR_LATENCY_SECONDS).observe(seconds)
             for stage, stage_seconds in stages.seconds:
@@ -431,89 +506,96 @@ class DynamicHubLabeling:
                 registry.counter(DYNAMIC_REBUILDS).inc()
         return RepairReport(
             op=op, u=u, v=v, weight=weight,
-            affected_roots=len(affected),
+            affected_roots=swept,
             labels_removed=removed, labels_added=added,
             rebuilt=rebuilt, seconds=seconds,
         )
 
 
-def _ranked_pruned_bfs(graph, root, rows, thaw, rank, vertices, depths):
-    """Pruned BFS from ``root``, pruning only on higher-ranked hubs.
+def _pruned_sweep_bfs(
+    graph, root, start, offset, rows, thaw, rank, vertices, depths
+):
+    """Root ``root``'s pruned BFS, entered at ``start`` at distance ``offset``.
 
-    Unlike the static sweep, the labeling already holds entries for
-    hubs of *lower* rank than ``root``; counting those in the pruning
-    test would break the cover property, so coverage is restricted to
-    hubs ``h`` with ``rank[h] < rank[root]`` -- exactly the label state
-    the static sweep would have seen.  ``rows[x]`` is vertex ``x``'s
-    live label dict (``thaw(x)`` creates it on first visit); each new
-    entry goes into it and onto ``vertices`` / ``depths``.
+    A delete re-sweep enters at the root itself with offset 0; an
+    insert repair resumes at an endpoint of the new edge.  A visit of
+    ``x`` at distance ``d`` is pruned when ``L(x)`` already holds
+    ``root`` at ``<= d``, or a hub ranked strictly above ``root``
+    certifies ``<= d`` (``L(root)[root]`` is 0, so together these are
+    the hubs ranked at or above ``root``).  Lower-ranked hubs never
+    prune: the exactness argument (docs/dynamic.md) needs ``L(x)`` to
+    hold ``root`` wherever ``root`` tops every shortest path.  Otherwise
+    the visit writes ``L(x)[root] = d``, overwriting a larger entry,
+    and appends ``x`` and ``d`` to ``vertices`` / ``depths``.
+    ``rows[x]`` is ``x``'s live label dict (``thaw(x)`` creates it).
     """
     limit = rank[root]
-    dist: List[float] = [INF] * graph.num_vertices
-    dist[root] = 0
-    queue = deque([root])
-    root_label = rows[root]
-    if root_label is None:
-        root_label = thaw(root)
+    label = rows[root]
+    if label is None:
+        label = thaw(root)
+    pruners = {hub: d for hub, d in label.items() if rank[hub] < limit}
+    dist = {start: offset}
+    queue = deque([start])
     while queue:
-        u = queue.popleft()
-        d = dist[u]
-        label = rows[u]
+        x = queue.popleft()
+        d = dist[x]
+        label = rows[x]
         if label is None:
-            label = thaw(u)
-        if _covered_below_rank(root_label, label, d, rank, limit):
+            label = thaw(x)
+        held = label.get(root)
+        if held is not None and held <= d:
             continue
-        label[root] = d
-        vertices.append(u)
-        depths.append(d)
-        for v, _ in graph.neighbors(u):
-            if dist[v] == INF:
-                dist[v] = d + 1
-                queue.append(v)
+        small, large = (
+            (pruners, label) if len(pruners) <= len(label) else (label, pruners)
+        )
+        for hub, dh in small.items():
+            dx = large.get(hub)
+            if dx is not None and dh + dx <= d:
+                break
+        else:
+            label[root] = d
+            vertices.append(x)
+            depths.append(d)
+            for y, _ in graph.neighbors(x):
+                if y not in dist:
+                    dist[y] = d + 1
+                    queue.append(y)
 
 
-def _ranked_pruned_dijkstra(graph, root, rows, thaw, rank, vertices, depths):
-    """Weighted analogue of :func:`_ranked_pruned_bfs`."""
+def _pruned_sweep_dijkstra(
+    graph, root, start, offset, rows, thaw, rank, vertices, depths
+):
+    """Weighted analogue of :func:`_pruned_sweep_bfs`."""
     limit = rank[root]
-    dist: List[float] = [INF] * graph.num_vertices
-    dist[root] = 0
-    heap = [(0, root)]
-    root_label = rows[root]
-    if root_label is None:
-        root_label = thaw(root)
+    label = rows[root]
+    if label is None:
+        label = thaw(root)
+    pruners = {hub: d for hub, d in label.items() if rank[hub] < limit}
+    dist = {start: offset}
+    heap = [(offset, start)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
+        d, x = heapq.heappop(heap)
+        if d > dist[x]:
             continue
-        label = rows[u]
+        label = rows[x]
         if label is None:
-            label = thaw(u)
-        if _covered_below_rank(root_label, label, d, rank, limit):
+            label = thaw(x)
+        held = label.get(root)
+        if held is not None and held <= d:
             continue
-        label[root] = d
-        vertices.append(u)
-        depths.append(d)
-        for v, w in graph.neighbors(u):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-
-
-def _covered_below_rank(
-    root_label: Dict[int, float],
-    u_label: Dict[int, float],
-    d: float,
-    rank: List[int],
-    limit: int,
-) -> bool:
-    """True if hubs ranked above ``limit`` already certify ``<= d``."""
-    if len(root_label) > len(u_label):
-        root_label, u_label = u_label, root_label
-    for hub, dr in root_label.items():
-        if rank[hub] >= limit:
-            continue
-        du = u_label.get(hub)
-        if du is not None and dr + du <= d:
-            return True
-    return False
+        small, large = (
+            (pruners, label) if len(pruners) <= len(label) else (label, pruners)
+        )
+        for hub, dh in small.items():
+            dx = large.get(hub)
+            if dx is not None and dh + dx <= d:
+                break
+        else:
+            label[root] = d
+            vertices.append(x)
+            depths.append(d)
+            for y, w in graph.neighbors(x):
+                nd = d + w
+                if nd < dist.get(y, INF):
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))

@@ -272,11 +272,14 @@ _SPECS = (
     ),
     MetricSpec(
         DYNAMIC_AFFECTED_ROOTS, "gauge", (),
-        "hub roots invalidated by the most recent mutation",
+        "hub roots the most recent mutation swept (an insert resumes its "
+        "endpoints' hubs, a delete re-sweeps the roots it invalidated); "
+        "for a rebuild, the roots its detection flagged",
     ),
     MetricSpec(
         DYNAMIC_LABELS_REPAIRED, "counter", (),
-        "label entries removed plus re-added across incremental repairs",
+        "label entries removed, overwritten or added across incremental "
+        "repairs (an overwrite counts as one removed and one added)",
     ),
     MetricSpec(
         DYNAMIC_REPAIR_LATENCY_SECONDS, "histogram", (),
@@ -286,8 +289,9 @@ _SPECS = (
     MetricSpec(
         DYNAMIC_STAGE_SECONDS, "histogram", ("stage",),
         "wall time of one write-path stage of a mutation, observed once "
-        "per stage per edit (stage = detect, invalidate, resweep, "
-        "splice for a repair; detect, rebuild for a rebuild)",
+        "per stage per edit (stage = detect, resweep, splice for an "
+        "insert repair; detect, invalidate, resweep, splice for a delete "
+        "repair; detect, rebuild for a rebuild)",
     ),
     MetricSpec(
         SHM_ATTACHES, "counter", ("source",),

@@ -37,7 +37,7 @@ from repro.dynamic import (
 )
 from repro.graphs import Graph, random_sparse_graph
 from repro.graphs.generators import random_weighted_graph
-from repro.graphs.traversal import INF
+from repro.graphs.traversal import INF, shortest_path_distances
 from repro.obs.catalog import (
     DYNAMIC_INSERTS,
     DYNAMIC_REBUILDS,
@@ -194,6 +194,8 @@ class TestStageMetrics:
         return stages
 
     def test_incremental_repair_stages(self, metrics_registry):
+        # An insert resumes its endpoint hubs' sweeps: nothing to
+        # invalidate.
         g = random_sparse_graph(16, seed=2)
         dyn = DynamicHubLabeling(g, rebuild_fraction=1.0)
         u, v = next(
@@ -203,10 +205,24 @@ class TestStageMetrics:
             if not g.has_edge(a, b)
         )
         assert not dyn.insert_edge(u, v).rebuilt
-        stages = self._observed(metrics_registry)
-        assert set(stages) == {"detect", "invalidate", "resweep", "splice"}
+        self._assert_stages(
+            metrics_registry, {"detect", "resweep", "splice"}
+        )
+
+    def test_delete_repair_stages(self, metrics_registry):
+        g = random_sparse_graph(16, seed=2)
+        dyn = DynamicHubLabeling(g, rebuild_fraction=1.0)
+        u, v, _ = next(iter(g.edges()))
+        assert not dyn.delete_edge(u, v).rebuilt
+        self._assert_stages(
+            metrics_registry, {"detect", "invalidate", "resweep", "splice"}
+        )
+
+    def _assert_stages(self, registry, expected):
+        stages = self._observed(registry)
+        assert set(stages) == expected
         assert all(count == 1 for count, _ in stages.values())
-        latency = metrics_registry.get(DYNAMIC_REPAIR_LATENCY_SECONDS)
+        latency = registry.get(DYNAMIC_REPAIR_LATENCY_SECONDS)
         assert sum(total for _, total in stages.values()) <= latency.sum
 
     def test_forced_rebuild_stages(self, metrics_registry):
@@ -219,11 +235,7 @@ class TestStageMetrics:
             if not g.has_edge(a, b)
         )
         assert dyn.insert_edge(u, v).rebuilt
-        stages = self._observed(metrics_registry)
-        assert set(stages) == {"detect", "rebuild"}
-        assert all(count == 1 for count, _ in stages.values())
-        latency = metrics_registry.get(DYNAMIC_REPAIR_LATENCY_SECONDS)
-        assert sum(total for _, total in stages.values()) <= latency.sum
+        self._assert_stages(metrics_registry, {"detect", "rebuild"})
 
 
 class TestFlatStore:
@@ -272,28 +284,8 @@ class TestFlatStore:
             assert not rep.rebuilt
             _assert_answer_identical(dyn, f"op {index} {op}")
 
-    @pytest.mark.parametrize(
-        "weighted, pinned, total",
-        [
-            (
-                False,
-                [(13, 67, 67), (21, 149, 140), (36, 214, 210),
-                 (33, 195, 203), (18, 83, 83), (36, 220, 218)],
-                228,
-            ),
-            (
-                True,
-                [(7, 16, 18), (21, 119, 117), (5, 33, 32),
-                 (8, 44, 41), (5, 14, 13), (15, 79, 82)],
-                182,
-            ),
-        ],
-    )
-    def test_repair_counts_are_pinned(self, weighted, pinned, total):
-        # Pinned from the dict-store repair this write path replaced:
-        # the same detection, the same pruning (against surviving
-        # entries plus this repair's additions, higher ranks only) and
-        # so the same entries removed and added per edit.
+    @staticmethod
+    def _repair_counts(weighted, insert_fraction):
         g = (
             random_weighted_graph(30, 60, seed=32)
             if weighted
@@ -302,13 +294,62 @@ class TestFlatStore:
         dyn = DynamicHubLabeling(
             g, rebuild_fraction=1.0, staleness_budget=float("inf")
         )
-        reports = dyn.apply(mutation_script(g, 6, seed=31, keep_connected=False))
+        script = mutation_script(
+            g, 6, seed=31, keep_connected=False,
+            insert_fraction=insert_fraction,
+        )
         counts = [
             (rep.affected_roots, rep.labels_removed, rep.labels_added)
-            for rep in reports
+            for rep in dyn.apply(script)
         ]
-        assert counts == pinned
-        assert dyn.labeling.total_size() == total
+        return counts, dyn.labeling.total_size()
+
+    @pytest.mark.parametrize(
+        "weighted, pinned, total",
+        [
+            (
+                False,
+                [(6, 4, 4), (3, 10, 10), (36, 223, 210),
+                 (6, 4, 12), (8, 3, 4), (36, 221, 218)],
+                228,
+            ),
+            (
+                True,
+                [(12, 0, 2), (8, 4, 4), (5, 33, 32),
+                 (8, 44, 41), (5, 14, 13), (9, 5, 8)],
+                184,
+            ),
+        ],
+    )
+    def test_repair_counts_are_pinned(self, weighted, pinned, total):
+        # Per edit: roots swept, entries removed (an overwrite counts)
+        # and entries written.  An insert resumes its endpoint hubs'
+        # sweeps; a delete re-sweeps its affected roots.
+        assert self._repair_counts(weighted, 0.5) == (pinned, total)
+
+    @pytest.mark.parametrize(
+        "weighted, pinned, total",
+        [
+            (
+                False,
+                [(36, 220, 221), (35, 219, 228), (30, 184, 182),
+                 (37, 235, 232), (35, 185, 187), (40, 242, 238)],
+                238,
+            ),
+            (
+                True,
+                [(22, 151, 148), (0, 0, 0), (27, 173, 168),
+                 (29, 174, 180), (11, 73, 71), (30, 180, 171)],
+                171,
+            ),
+        ],
+    )
+    def test_delete_repair_counts_are_pinned(self, weighted, pinned, total):
+        # Delete-only scripts take the invalidate + re-sweep path, so
+        # they keep the counts of the repair that re-swept inserts too:
+        # the same detection and the same pruning (against surviving
+        # entries plus this repair's additions) as a static PLL sweep.
+        assert self._repair_counts(weighted, 0.0) == (pinned, total)
 
     def test_stub_cache_serves_rebuilds(self):
         class LoadOrBuildOnly:
@@ -469,6 +510,118 @@ class TestRepairEqualsRebuild:
         )
         dyn.apply(mutation_script(g, 5, seed=script_seed))
         _assert_answer_identical(dyn, "budget-mix")
+
+
+def _true_distances(graph):
+    return [shortest_path_distances(graph, s)[0] for s in graph.vertices()]
+
+
+def _assert_label_invariants(dyn, tag=""):
+    """The two invariants that make every answer exact.
+
+    Every entry ``(h, x, d)`` has ``d >= d(h, x)``, and whenever ``h``
+    is the top-ranked vertex on every shortest ``h``-``s`` path,
+    ``L(s)`` holds ``h`` at exactly ``d(h, s)``.
+    """
+    graph = dyn.graph
+    dist = _true_distances(graph)
+    rank = {vertex: position for position, vertex in enumerate(dyn.order)}
+    vertices = list(graph.vertices())
+    for s in vertices:
+        label = dyn.labeling.hubs(s)
+        for h, d in label.items():
+            assert d >= dist[h][s], f"{tag} L({s})[{h}] = {d} < {dist[h][s]}"
+        for h in vertices:
+            total = dist[h][s]
+            if total == INF:
+                continue
+            top = all(
+                rank[y] >= rank[h]
+                for y in vertices
+                if dist[h][y] + dist[y][s] == total
+            )
+            if top:
+                assert label.get(h) == total, (
+                    f"{tag} L({s})[{h}] = {label.get(h)!r}, want {total}"
+                )
+
+
+class TestRepairInvariants:
+    """Entries overshoot at most, and top-ranked hubs stay exact."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 1000),
+        script_seed=st.integers(0, 1000),
+        weighted=st.booleans(),
+        keep_connected=st.booleans(),
+    )
+    def test_invariants_hold_after_every_edit(
+        self, graph_seed, script_seed, weighted, keep_connected
+    ):
+        g = (
+            random_weighted_graph(10, 16, seed=graph_seed)
+            if weighted
+            else random_sparse_graph(12, seed=graph_seed)
+        )
+        dyn = DynamicHubLabeling(
+            g, rebuild_fraction=1.0, staleness_budget=float("inf")
+        )
+        script = mutation_script(
+            g, 8, seed=script_seed, keep_connected=keep_connected
+        )
+        for index, op in enumerate(script):
+            rep = dyn.apply(MutationScript(ops=(op,)))[0]
+            assert not rep.rebuilt
+            _assert_label_invariants(dyn, f"op {index} {op}")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_insert_writes_only_endpoint_hubs(self, weighted):
+        g = (
+            random_weighted_graph(40, 70, seed=41)
+            if weighted
+            else random_sparse_graph(60, seed=41)
+        )
+        dyn = DynamicHubLabeling(
+            g, rebuild_fraction=1.0, staleness_budget=float("inf")
+        )
+        script = mutation_script(g, 12, seed=41, insert_fraction=1.0)
+        for op, u, v, weight in script:
+            before = dyn.labeling
+            at_u, at_v = before.hubs(u), before.hubs(v)
+            rep = dyn.insert_edge(u, v, weight)
+            assert not rep.rebuilt
+            assert rep.affected_roots <= len(at_u) + len(at_v)
+            after = dyn.labeling
+            endpoint_hubs = at_u.keys() | at_v.keys()
+            for x in g.vertices():
+                old, new = before.hubs(x), after.hubs(x)
+                # Nothing is dropped, and entries only ever shrink.
+                assert old.keys() <= new.keys()
+                for h, d in new.items():
+                    if old.get(h) != d:
+                        assert h in endpoint_hubs, (op, u, v, x, h)
+                        assert h not in old or d < old[h]
+        _assert_answer_identical(dyn, "inserts")
+
+    def test_staleness_counts_label_growth(self):
+        g = random_sparse_graph(40, seed=42)
+        dyn = DynamicHubLabeling(
+            g, rebuild_fraction=1.0, staleness_budget=float("inf")
+        )
+        built = dyn.labeling.total_size()
+        (op, u, v, weight), = mutation_script(g, 1, seed=42, insert_fraction=1.0)
+        dist = _true_distances(g)
+        detected = sum(
+            1
+            for r in g.vertices()
+            if dist[r][u] + weight < dist[r][v]
+            or dist[r][v] + weight < dist[r][u]
+        )
+        rep = dyn.insert_edge(u, v, weight)
+        growth = rep.labels_added - rep.labels_removed
+        assert growth == dyn.labeling.total_size() - built
+        assert dyn.staleness == pytest.approx(detected / 40 + growth / built)
 
 
 class TestMutationCorpus:
