@@ -8,7 +8,6 @@ side of the quality/size results in E9 is on record too.
 import pytest
 
 from repro.core import (
-    fast_pruned_landmark_labeling,
     greedy_hub_labeling,
     pruned_landmark_labeling,
     rs_hub_labeling,
@@ -30,13 +29,6 @@ def graph():
 def test_build_pll(benchmark, graph):
     labeling = benchmark.pedantic(
         lambda: pruned_landmark_labeling(graph), rounds=3, iterations=1
-    )
-    assert labeling.total_size() > 0
-
-
-def test_build_pll_fast(benchmark, graph):
-    labeling = benchmark.pedantic(
-        lambda: fast_pruned_landmark_labeling(graph), rounds=3, iterations=1
     )
     assert labeling.total_size() > 0
 

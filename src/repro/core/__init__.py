@@ -29,7 +29,6 @@ from .orders import (
     random_order,
 )
 from .pll import pruned_landmark_labeling
-from .pll_fast import fast_pruned_landmark_labeling
 from .greedy import greedy_hub_labeling
 from .monotone import is_monotone, monotone_closure, tree_path_to_root
 from .hitting import HittingSetResult, build_hitting_set, hitting_set_size
@@ -98,7 +97,6 @@ __all__ = [
     "eccentricity_order",
     "random_order",
     "pruned_landmark_labeling",
-    "fast_pruned_landmark_labeling",
     "greedy_hub_labeling",
     "is_monotone",
     "monotone_closure",

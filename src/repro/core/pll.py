@@ -13,14 +13,17 @@ labelings, so PLL on the hard instances gives the measured side of
 experiment E4.
 
 Both unweighted (pruned BFS) and weighted (pruned Dijkstra) graphs are
-supported; weight-0 edges are handled by the Dijkstra path.
+supported; weight-0 edges are handled by the Dijkstra path.  The two
+sweeps are the ones :mod:`repro.dynamic` repairs labels with: static
+PLL enters each root's sweep at the root itself at distance 0, in
+rank order, writing into the labeling's per-vertex dicts.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..graphs.graph import Graph
 from ..graphs.traversal import INF
@@ -55,12 +58,18 @@ def pruned_landmark_labeling(
                 )
         labeling = HubLabeling(graph.num_vertices)
         with span("pll.sweeps"):
-            if graph.is_weighted:
-                for root in order:
-                    _pruned_dijkstra(graph, root, labeling)
-            else:
-                for root in order:
-                    _pruned_bfs(graph, root, labeling)
+            # Every row exists, so the sweep never thaws one; every hub
+            # already in L(root) ranks above root, so the sweep's rank
+            # restriction prunes exactly as plain PLL does.
+            rows = labeling._labels
+            rank = [0] * graph.num_vertices
+            for position, vertex in enumerate(order):
+                rank[vertex] = position
+            sweep = (
+                _pruned_sweep_dijkstra if graph.is_weighted else _pruned_sweep_bfs
+            )
+            for root in order:
+                sweep(graph, root, root, 0, rows, None, rank, [], [])
     _report_build_rate("pll", labeling, build_span.duration)
     return labeling
 
@@ -74,53 +83,90 @@ def _report_build_rate(builder: str, labeling, duration) -> None:
         )
 
 
-def _pruned_bfs(graph: Graph, root: int, labeling: HubLabeling) -> None:
-    dist: List[float] = [INF] * graph.num_vertices
-    dist[root] = 0
-    queue = deque([root])
-    root_label = labeling.hubs(root)
+def _pruned_sweep_bfs(
+    graph, root, start, offset, rows, thaw, rank, vertices, depths
+):
+    """Root ``root``'s pruned BFS, entered at ``start`` at distance ``offset``.
+
+    Static PLL and a delete re-sweep enter at the root itself with
+    offset 0; an insert repair resumes at an endpoint of the new edge.
+    A visit of ``x`` at distance ``d`` is pruned when ``L(x)`` already
+    holds ``root`` at ``<= d``, or a hub ranked strictly above ``root``
+    certifies ``<= d`` (``L(root)[root]`` is 0, so together these are
+    the hubs ranked at or above ``root``).  Lower-ranked hubs never
+    prune: the exactness argument (docs/dynamic.md) needs ``L(x)`` to
+    hold ``root`` wherever ``root`` tops every shortest path.  Otherwise
+    the visit writes ``L(x)[root] = d``, overwriting a larger entry,
+    and appends ``x`` and ``d`` to ``vertices`` / ``depths``.
+    ``rows[x]`` is ``x``'s live label dict (``thaw(x)`` creates it).
+    """
+    limit = rank[root]
+    label = rows[root]
+    if label is None:
+        label = thaw(root)
+    pruners = {hub: d for hub, d in label.items() if rank[hub] < limit}
+    dist = {start: offset}
+    queue = deque([start])
     while queue:
-        u = queue.popleft()
-        d = dist[u]
-        # Pruning test: can the existing labels already answer (root, u)
-        # with a distance <= d?  root's own label is merged against u's.
-        if _covered_within(root_label, labeling.hubs(u), d):
+        x = queue.popleft()
+        d = dist[x]
+        label = rows[x]
+        if label is None:
+            label = thaw(x)
+        held = label.get(root)
+        if held is not None and held <= d:
             continue
-        labeling.add_hub(u, root, d)
-        for v, _ in graph.neighbors(u):
-            if dist[v] == INF:
-                dist[v] = d + 1
-                queue.append(v)
+        small, large = (
+            (pruners, label) if len(pruners) <= len(label) else (label, pruners)
+        )
+        for hub, dh in small.items():
+            dx = large.get(hub)
+            if dx is not None and dh + dx <= d:
+                break
+        else:
+            label[root] = d
+            vertices.append(x)
+            depths.append(d)
+            for y, _ in graph.neighbors(x):
+                if y not in dist:
+                    dist[y] = d + 1
+                    queue.append(y)
 
 
-def _pruned_dijkstra(graph: Graph, root: int, labeling: HubLabeling) -> None:
-    dist: List[float] = [INF] * graph.num_vertices
-    dist[root] = 0
-    heap: List[Tuple[float, int]] = [(0, root)]
-    root_label = labeling.hubs(root)
+def _pruned_sweep_dijkstra(
+    graph, root, start, offset, rows, thaw, rank, vertices, depths
+):
+    """Weighted analogue of :func:`_pruned_sweep_bfs`."""
+    limit = rank[root]
+    label = rows[root]
+    if label is None:
+        label = thaw(root)
+    pruners = {hub: d for hub, d in label.items() if rank[hub] < limit}
+    dist = {start: offset}
+    heap = [(offset, start)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
+        d, x = heapq.heappop(heap)
+        if d > dist[x]:
             continue
-        if _covered_within(root_label, labeling.hubs(u), d):
+        label = rows[x]
+        if label is None:
+            label = thaw(x)
+        held = label.get(root)
+        if held is not None and held <= d:
             continue
-        labeling.add_hub(u, root, d)
-        for v, w in graph.neighbors(u):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    # NOTE on weight-0 edges: Dijkstra settles a 0-weight neighbor at the
-    # same key, and the pruning test only ever *removes* work, so the
-    # labeling remains correct.
-
-
-def _covered_within(root_label, u_label, d: float) -> bool:
-    """True if the two labels certify a distance <= d already."""
-    if len(root_label) > len(u_label):
-        root_label, u_label = u_label, root_label
-    for hub, dr in root_label.items():
-        du = u_label.get(hub)
-        if du is not None and dr + du <= d:
-            return True
-    return False
+        small, large = (
+            (pruners, label) if len(pruners) <= len(label) else (label, pruners)
+        )
+        for hub, dh in small.items():
+            dx = large.get(hub)
+            if dx is not None and dh + dx <= d:
+                break
+        else:
+            label[root] = d
+            vertices.append(x)
+            depths.append(d)
+            for y, w in graph.neighbors(x):
+                nd = d + w
+                if nd < dist.get(y, INF):
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))

@@ -25,11 +25,12 @@ budget; a delete also uses the set itself.
   rank order.
 
 Both edit kinds run the same pruned sweep (one per semantics, BFS and
-Dijkstra).  A visit of ``x`` at distance ``d`` in root ``h``'s sweep
-is pruned when a hub ranked at or above ``h`` (``h`` included)
-already certifies ``<= d``; otherwise it writes ``L(x)[h] = d``,
-overwriting a larger entry.  A vertex's run is thawed into a dict the
-first time a sweep visits it, once per repair.  The **splice** then
+Dijkstra, shared with static PLL in :mod:`repro.core.pll`).  A visit
+of ``x`` at distance ``d`` in root ``h``'s sweep is pruned when a hub
+ranked at or above ``h`` (``h`` included) already certifies
+``<= d``; otherwise it writes ``L(x)[h] = d``, overwriting a larger
+entry.  A vertex's run is thawed into a dict the first time a sweep
+visits it, once per repair.  The **splice** then
 merges the writes into a fresh CSR in one vectorised pass: a write
 whose ``(vertex, hub)`` key already exists replaces that entry's
 distance, every other write is inserted, hubs ascending within each
@@ -57,15 +58,14 @@ through the optional :class:`~repro.perf.cache.LabelCache` (or
 
 from __future__ import annotations
 
-import heapq
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.orders import degree_order
+from ..core.pll import _pruned_sweep_bfs, _pruned_sweep_dijkstra
 from ..graphs.graph import Graph
 from ..graphs.traversal import INF
 from ..obs.catalog import (
@@ -510,92 +510,3 @@ class DynamicHubLabeling:
             labels_removed=removed, labels_added=added,
             rebuilt=rebuilt, seconds=seconds,
         )
-
-
-def _pruned_sweep_bfs(
-    graph, root, start, offset, rows, thaw, rank, vertices, depths
-):
-    """Root ``root``'s pruned BFS, entered at ``start`` at distance ``offset``.
-
-    A delete re-sweep enters at the root itself with offset 0; an
-    insert repair resumes at an endpoint of the new edge.  A visit of
-    ``x`` at distance ``d`` is pruned when ``L(x)`` already holds
-    ``root`` at ``<= d``, or a hub ranked strictly above ``root``
-    certifies ``<= d`` (``L(root)[root]`` is 0, so together these are
-    the hubs ranked at or above ``root``).  Lower-ranked hubs never
-    prune: the exactness argument (docs/dynamic.md) needs ``L(x)`` to
-    hold ``root`` wherever ``root`` tops every shortest path.  Otherwise
-    the visit writes ``L(x)[root] = d``, overwriting a larger entry,
-    and appends ``x`` and ``d`` to ``vertices`` / ``depths``.
-    ``rows[x]`` is ``x``'s live label dict (``thaw(x)`` creates it).
-    """
-    limit = rank[root]
-    label = rows[root]
-    if label is None:
-        label = thaw(root)
-    pruners = {hub: d for hub, d in label.items() if rank[hub] < limit}
-    dist = {start: offset}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        d = dist[x]
-        label = rows[x]
-        if label is None:
-            label = thaw(x)
-        held = label.get(root)
-        if held is not None and held <= d:
-            continue
-        small, large = (
-            (pruners, label) if len(pruners) <= len(label) else (label, pruners)
-        )
-        for hub, dh in small.items():
-            dx = large.get(hub)
-            if dx is not None and dh + dx <= d:
-                break
-        else:
-            label[root] = d
-            vertices.append(x)
-            depths.append(d)
-            for y, _ in graph.neighbors(x):
-                if y not in dist:
-                    dist[y] = d + 1
-                    queue.append(y)
-
-
-def _pruned_sweep_dijkstra(
-    graph, root, start, offset, rows, thaw, rank, vertices, depths
-):
-    """Weighted analogue of :func:`_pruned_sweep_bfs`."""
-    limit = rank[root]
-    label = rows[root]
-    if label is None:
-        label = thaw(root)
-    pruners = {hub: d for hub, d in label.items() if rank[hub] < limit}
-    dist = {start: offset}
-    heap = [(offset, start)]
-    while heap:
-        d, x = heapq.heappop(heap)
-        if d > dist[x]:
-            continue
-        label = rows[x]
-        if label is None:
-            label = thaw(x)
-        held = label.get(root)
-        if held is not None and held <= d:
-            continue
-        small, large = (
-            (pruners, label) if len(pruners) <= len(label) else (label, pruners)
-        )
-        for hub, dh in small.items():
-            dx = large.get(hub)
-            if dx is not None and dh + dx <= d:
-                break
-        else:
-            label[root] = d
-            vertices.append(x)
-            depths.append(d)
-            for y, w in graph.neighbors(x):
-                nd = d + w
-                if nd < dist.get(y, INF):
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))

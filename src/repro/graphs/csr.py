@@ -6,7 +6,8 @@ flat layout: ``offsets[v] : offsets[v+1]`` slices ``targets`` (and
 ``weights``) -- no per-edge tuple objects, no dict lookups.
 
 :class:`CSRGraph` is a read-only view built from a :class:`Graph`;
-:func:`repro.core.pll_fast.fast_pruned_landmark_labeling` consumes it.
+the bit-parallel builder (:mod:`repro.perf.build`) and the parallel
+per-root traversals (:mod:`repro.perf.parallel`) consume it.
 """
 
 from __future__ import annotations

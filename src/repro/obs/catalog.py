@@ -144,8 +144,7 @@ _SPECS = (
     MetricSpec(
         BUILD_LABELS_PER_SECOND, "gauge", ("builder",),
         "label entries produced per second by the last labeling build "
-        "(builder = pll | pll-fast | greedy | flat-bitparallel | "
-        "flat-fallback)",
+        "(builder = pll | greedy | flat-bitparallel | flat-fallback)",
     ),
     MetricSpec(
         BUILD_PAIRS_PER_SECOND, "gauge", ("builder",),

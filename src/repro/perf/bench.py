@@ -64,7 +64,7 @@ instance, seed}``.  The suites:
 * ``sssp_rows``             -- per-root traversal throughput through
   :func:`repro.perf.parallel.shortest_path_rows` (exercises the
   ``workers=`` fan-out when requested);
-* ``obs_overhead``          -- instrumented / uninstrumented wall-time
+* ``obs_overhead``          -- instrumented / uninstrumented CPU-time
   ratio of the dict-backend ``HubLabelOracle.query`` loop (the
   uninstrumented side runs under a disabled
   :class:`~repro.obs.registry.NullRegistry`; median ratio over 15
@@ -670,7 +670,10 @@ def run_bench(
     # both sides instead of masquerading as instrumentation cost.
     # Comparing each series' best instead read from 0.69x to 1.13x in
     # full test runs.  The comparison also runs on one CPU, so the
-    # thread does not migrate mid-series.
+    # thread does not migrate mid-series.  Each ratio is of thread CPU
+    # time, not wall time: another process contending for the CPU
+    # (1.139x was read while a benchmark shared the host) stretches
+    # wall time, not this thread's own work.
     overhead_repeats = max(repeats, 15)
     null_registry = NullRegistry()
     ratios = []
@@ -679,17 +682,19 @@ def run_bench(
         oracle_loop()
         for _ in range(overhead_repeats):
             with span("bench.obs_overhead") as timer:
+                start = time.thread_time()
                 oracle_loop()
+                instrumented = time.thread_time() - start
             instrumented_time = min(instrumented_time, timer.duration)
             previous = set_registry(null_registry)
             try:
-                start = time.perf_counter()
+                start = time.thread_time()
                 oracle_loop()
-                bare = time.perf_counter() - start
+                bare = time.thread_time() - start
             finally:
                 set_registry(previous)
             if bare > 0:
-                ratios.append(timer.duration / bare)
+                ratios.append(instrumented / bare)
     overhead = statistics.median(ratios) if ratios else 1.0
     results["obs_overhead"] = entry(
         "overhead", round(overhead, 4), "x", pairs=len(dict_pairs)

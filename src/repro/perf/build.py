@@ -32,8 +32,8 @@ bit-parallel batching, widened):
   vertex -- is resolved by a vectorized mirror-key fix-up restricted
   to visits landing on batch-root vertices (see ``_bitparallel_flat``).
 
-Weighted graphs take the pure-Python array builder
-(:func:`repro.core.pll_fast.fast_pruned_landmark_labeling`) followed by
+Weighted graphs take the reference builder
+(:func:`repro.core.pll.pruned_landmark_labeling`) followed by
 :meth:`FlatHubLabeling.from_labeling` -- same output.  Either way the
 store comes out in the compact layout of :mod:`repro.perf.flat` (int32
 hubs, narrowest exact dist tier).  Builds report a ``build.flat`` tracing span, the
@@ -50,6 +50,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.pll import _report_build_rate, pruned_landmark_labeling
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
 from ..obs.catalog import (
@@ -92,8 +93,8 @@ def build_flat_labels(
     Same output as ``FlatHubLabeling.from_labeling(
     pruned_landmark_labeling(graph, order))`` -- the identity is
     asserted by the differential tests -- produced by the bit-parallel
-    batched builder when the graph is unweighted, and by the
-    pure-Python builder otherwise.
+    batched builder when the graph is unweighted and non-empty, and by
+    the reference builder otherwise.
 
     Reports a ``build.flat`` span plus the build metrics from the
     module docstring; :mod:`repro.perf.cache` relies on the span being
@@ -118,17 +119,13 @@ def build_flat_labels(
             flat = _bitparallel_flat(graph, order, passes)
         else:
             builder = "fallback"
-            from ..core.pll_fast import fast_pruned_landmark_labeling
-
             flat = FlatHubLabeling.from_labeling(
-                fast_pruned_landmark_labeling(graph, order)
+                pruned_landmark_labeling(graph, order)
             )
     if registry.enabled:
         registry.gauge(BUILD_DURATION_SECONDS, builder=builder).set(
             build_span.duration
         )
-    from ..core.pll import _report_build_rate
-
     _report_build_rate("flat-" + builder, flat, build_span.duration)
     return flat
 

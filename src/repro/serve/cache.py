@@ -2,8 +2,8 @@
 
 Distance answers are immutable for a fixed labeling, so repeat queries
 are pure cache fodder -- but *only* for a fixed labeling.  The cache is
-therefore keyed by a **generation token** derived from the labeling's
-content digest (:func:`labeling_digest`):
+therefore keyed by a **generation token**; the server mints a fresh
+one per oracle swap in O(1):
 
 * :meth:`ResultCache.put` carries the generation the answer was
   computed under and is dropped silently if the server has re-keyed in
@@ -13,10 +13,10 @@ content digest (:func:`labeling_digest`):
   guard: a key made under a swapped-out generation (packed for another
   vertex count, say) misses instead of reading a current entry;
 * :meth:`ResultCache.rekey` clears everything when the generation
-  actually changed, and keeps the warm entries when a swap re-installed
-  a labeling with the identical digest (dict vs flat backends answer
-  byte-identically, so the digest deliberately covers label *content*,
-  not store layout).
+  actually changed, and keeps the warm entries otherwise.
+
+:func:`labeling_digest` names a labeling by its *content* for artifact
+identity; the serving path never computes it.
 
 Everything mutates under one lock; ``get`` / ``put`` are O(1) via
 ``OrderedDict`` recency moves.  ``capacity == 0`` disables caching

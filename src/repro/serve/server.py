@@ -52,9 +52,9 @@ The pipeline, item by item:
 The oracle is only ever invoked under the swap lock, so stateful
 oracles such as :class:`~repro.runtime.resilient.ResilientOracle` need
 no internal locking even with several dispatchers.  :meth:`set_oracle`
-swaps the oracle atomically; the cache generation is computed *once
-per swap* (content digest when the cache is enabled, a throwaway token
-when it is off) and cache keys are packed integers ``u * n + v`` --
+swaps the oracle atomically; the cache generation is an O(1) token
+naming the swap (class name + swap number, never a pass over the
+labels) and cache keys are packed integers ``u * n + v`` --
 cheap to compute vectorized and cheap to hash.  A submit reads ``n``
 and the generation as one pair and probes the cache under that
 generation (a swap since then makes it a miss); each ticket remembers
@@ -94,7 +94,7 @@ from ..obs.catalog import (
 from ..obs.registry import Histogram
 from ..obs.registry import get_registry as _get_registry
 from ..runtime.errors import DomainError, ServerOverloadError
-from .cache import MISS, ResultCache, labeling_digest
+from .cache import MISS, ResultCache
 
 __all__ = [
     "BatchTicket",
@@ -113,11 +113,6 @@ WIDTH_BUCKETS: Tuple[float, ...] = (
 #: Admission shards when the caller does not choose (capped at
 #: ``max_queue`` so every shard keeps a positive capacity slice).
 DEFAULT_SHARDS = 4
-
-#: Distinguishes oracles without a content generation; each swap of
-#: such an oracle gets a fresh token (cache always cold, never stale).
-_ANON = itertools.count()
-
 
 class BatchTicket:
     """One waitable unit of submitted pairs, backed by one ``Future``.
@@ -250,20 +245,14 @@ class ServerStats:
         return self.coalesced / self.batches if self.batches else 0.0
 
 
-def _generation_for(oracle, *, content: bool) -> str:
-    """The cache-generation token for ``oracle``, computed once per swap.
+def _generation_for(oracle, seq: int) -> str:
+    """The cache-generation token for ``oracle`` installed as swap ``seq``.
 
-    With ``content`` (the result cache is enabled), labeling-backed
-    oracles key by class name + content digest, so two oracles of the
-    same kind serving byte-identical labels share a warm cache across
-    :meth:`QueryServer.set_oracle`.  With the cache disabled, staleness
-    is moot and the digest pass is skipped entirely -- a throwaway
-    token keeps swaps O(1) instead of O(labels).
+    O(1): the token names the swap, not the labeling's content, so
+    every :meth:`QueryServer.set_oracle` starts a cold cache -- even
+    one that re-installs byte-identical labels.
     """
-    store = getattr(oracle, "labeling", None)
-    if content and store is not None:
-        return f"{type(oracle).__name__}:{labeling_digest(store)}"
-    return f"{type(oracle).__name__}:anon-{next(_ANON)}"
+    return f"{type(oracle).__name__}:{seq}"
 
 
 def _key_base_for(oracle) -> Optional[int]:
@@ -365,7 +354,7 @@ class QueryServer:
         self._cache = ResultCache(cache_size)
         self._cache_on = cache_size > 0
         self._oracle = oracle
-        generation = _generation_for(oracle, content=self._cache_on)
+        generation = _generation_for(oracle, 0)
         self._keying = (_key_base_for(oracle), generation)
         self._generation_seq = 0
         self._cache.rekey(generation)
@@ -655,25 +644,24 @@ class QueryServer:
     def set_oracle(self, oracle) -> bool:
         """Swap the serving oracle; True if the result cache was cleared.
 
-        The cache survives the swap only when the new oracle serves a
-        labeling with the identical content digest; any other swap
-        re-keys it, and answers still in flight from the old oracle are
-        dropped by the generation guard rather than cached stale.  The
-        generation token is computed here, once, outside the swap lock.
-        Every swap bumps the monotone ``serve.generation`` gauge (hot
-        swaps are observable and provably ordered).
+        Every swap re-keys the cache under a fresh O(1) generation
+        token (no pass over the labels), so every swap clears it, and
+        answers still in flight from the old oracle are dropped by the
+        generation guard rather than cached stale.  Every swap bumps the
+        monotone ``serve.generation`` gauge (hot swaps are observable and
+        provably ordered).
         """
-        generation = _generation_for(oracle, content=self._cache_on)
         key_base = _key_base_for(oracle)
         with self._oracle_lock:
             # Freeing the outgoing store can take milliseconds; keep the
             # last reference past the lock so dispatchers do not wait.
             outgoing = self._oracle
             self._oracle = oracle
-            # One attribute, so a submit reads a matching (n, generation).
-            self._keying = (key_base, generation)
             self._generation_seq += 1
             seq = self._generation_seq
+            generation = _generation_for(oracle, seq)
+            # One attribute, so a submit reads a matching (n, generation).
+            self._keying = (key_base, generation)
             cleared = self._cache.rekey(generation)
         del outgoing
         obs = self._bind_obs()

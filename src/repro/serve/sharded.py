@@ -446,9 +446,8 @@ class ShardedQueryServer:
         entirely by whichever labeling its worker held -- never a mix
         -- and every call admitted after ``set_oracle`` returns is
         answered by the new labeling (each worker's result cache is
-        generation-keyed off its store digest, so no cached answer
-        crosses the swap).  The monotone ``serve.generation`` gauge
-        bumps once per swap.
+        generation-keyed, so no cached answer crosses the swap).  The
+        monotone ``serve.generation`` gauge bumps once per swap.
 
         When the fleet is not running, the swap just replaces the
         pending store; the next ``start()`` serves it.

@@ -56,15 +56,24 @@ CORPUS_PATH = pathlib.Path(__file__).parent / "data" / "mutation_corpus.json"
 
 
 def _assert_answer_identical(dyn, tag=""):
-    """All-pairs value+type identity against a from-scratch rebuild."""
+    """All-pairs value+type identity against a from-scratch rebuild,
+    and value equality with BFS/Dijkstra ground truth.
+
+    A weighted rebuild runs the same pruned sweep as repair, so the
+    traversal grades both independently of it.
+    """
     rebuilt = build_flat_labels(dyn.graph, dyn.order)
     n = dyn.graph.num_vertices
     for u in range(n):
+        truth, _ = shortest_path_distances(dyn.graph, u)
         for v in range(n):
             got = dyn.query(u, v)
             want = rebuilt.query(u, v)
             assert got == want and type(got) is type(want), (
                 f"{tag} dist({u},{v}) = {got!r}, rebuild says {want!r}"
+            )
+            assert got == truth[v], (
+                f"{tag} dist({u},{v}) = {got!r}, traversal says {truth[v]!r}"
             )
 
 

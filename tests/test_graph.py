@@ -1,8 +1,15 @@
-"""Unit tests for the Graph and GraphBuilder data structures."""
+"""Unit tests for the Graph, GraphBuilder and CSRGraph data structures."""
 
 import pytest
 
-from repro.graphs import Graph, GraphBuilder
+from repro.graphs import (
+    CSRGraph,
+    Graph,
+    GraphBuilder,
+    grid_2d,
+    random_sparse_graph,
+    random_weighted_graph,
+)
 
 
 class TestGraphConstruction:
@@ -183,3 +190,38 @@ class TestGraphBuilder:
         b.add_edge(1, 2)
         b.vertex(3)
         assert b.num_vertices == 3
+
+
+class TestCSR:
+    def test_structure(self):
+        g = grid_2d(3, 3)
+        csr = CSRGraph(g)
+        assert csr.num_vertices == 9
+        assert csr.num_edges == g.num_edges
+        for v in g.vertices():
+            assert sorted(csr.neighbor_ids(v)) == sorted(g.neighbor_ids(v))
+
+    def test_weighted_flag(self):
+        g = random_weighted_graph(10, 15, seed=1)
+        assert CSRGraph(g).is_weighted
+
+    def test_slices_partition(self):
+        g = random_sparse_graph(30, seed=2)
+        csr = CSRGraph(g)
+        assert csr.offsets[0] == 0
+        assert csr.offsets[-1] == len(csr.targets)
+
+    def test_num_edges_is_source_count_not_arc_count(self):
+        # The CSR stores two directed arcs per undirected edge; the edge
+        # count must come from the source graph, not the arc arrays.
+        g = random_weighted_graph(12, 20, seed=6)
+        csr = CSRGraph(g)
+        assert csr.num_edges == g.num_edges
+        assert len(csr.targets) == 2 * g.num_edges
+
+    def test_repr(self):
+        g = grid_2d(2, 3)
+        assert repr(CSRGraph(g)) == "CSRGraph(n=6, m=7, unweighted)"
+        w = random_weighted_graph(5, 6, seed=0)
+        assert "weighted" in repr(CSRGraph(w))
+        assert f"m={w.num_edges}" in repr(CSRGraph(w))

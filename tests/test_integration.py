@@ -126,13 +126,11 @@ class TestBigInstanceSampledVerification:
     @pytest.mark.slow
     def test_g22_pll_sampled(self):
         """PLL on the 24k-vertex hard instance, verified on sampled rows."""
-        from repro.core import (
-            fast_pruned_landmark_labeling,
-            verify_cover_sampled,
-        )
+        from repro.core import verify_cover_sampled
+        from repro.perf.build import build_flat_labels
 
         inst = build_degree3_instance(2, 2)
-        labeling = fast_pruned_landmark_labeling(inst.graph)
+        labeling = build_flat_labels(inst.graph)
         cert = certificate_for(inst)
         assert labeling.total_size() >= cert.hub_sum_lower_bound
         report = verify_cover_sampled(

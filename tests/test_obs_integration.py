@@ -17,7 +17,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import pruned_landmark_labeling
 from repro.core.hitting import build_hitting_set
-from repro.core.pll_fast import fast_pruned_landmark_labeling
 from repro.obs.catalog import (
     BUILD_LABELS_PER_SECOND,
     BUILD_PAIRS_PER_SECOND,
@@ -165,19 +164,6 @@ class TestBuilderInstrumentation:
         assert gauge is not None and gauge.value > 0
         # Rate is labels / span duration, so it implies the label count.
         assert labeling.total_size() > 0
-
-    def test_fast_pll_reports_its_own_builder(
-        self, sparse_graph, metrics_registry
-    ):
-        fast_pruned_landmark_labeling(sparse_graph)
-        assert (
-            metrics_registry.get(SPAN_COUNT, span="pll-fast.build").value
-            == 1
-        )
-        gauge = metrics_registry.get(
-            BUILD_LABELS_PER_SECOND, builder="pll-fast"
-        )
-        assert gauge is not None and gauge.value > 0
 
     def test_hitting_set_reports_pair_rate(
         self, small_grid, metrics_registry

@@ -237,7 +237,7 @@ def test_set_oracle_between_batches_never_serves_stale(pairs, swap_first):
     vs = [v for _, v in pairs]
     with QueryServer(first) as server:
         before = server.submit_batch(us, vs).result(timeout=30)
-        assert server.set_oracle(second)  # different digest: cache cleared
+        assert server.set_oracle(second)  # every swap clears the cache
         after = server.submit_batch(us, vs).result(timeout=30)
     for (u, v), got_first, got_second in zip(pairs, before, after):
         want_first = first.query(u, v).distance
