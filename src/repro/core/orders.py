@@ -5,19 +5,35 @@ fixed order and produces the canonical *hierarchical* labeling for that
 order; the order is therefore the entire tuning surface.  This module
 provides the standard choices from the hub-labeling literature:
 
-* :func:`degree_order` -- highest degree first (the classic PLL default);
+* :func:`degree_order` -- highest degree first (the classic PLL default),
+  ties broken by a fixed-seed random key per vertex;
 * :func:`random_order` -- a seeded uniformly random permutation;
 * :func:`coverage_order` -- greedy shortest-path-coverage (approximate
   betweenness): repeatedly pick the vertex covering the most still
   uncovered pairs.  Quadratic; meant for small instances and baselines;
 * :func:`eccentricity_order` -- most central (smallest eccentricity)
   first, a good choice on grids and meshes.
+
+Why :func:`degree_order` breaks ties at random: sparse graphs are mostly
+long runs of equal-degree vertices, and index order runs monotonically
+along each of them.  PLL then roots a path's vertices from one end to
+the other; no earlier root ever lies between a root and the vertices
+ahead of it, so nothing prunes, and the ``i``-th vertex keeps all ``i``
+earlier roots as hubs: ``path_graph(500)`` stores 124,752 entries with
+ties by index and 5,371 with random ties.  The paper's ``G(2, 2)``
+(23,424 of its 24,400 vertices sit on degree-2 subdivision paths) drops
+from 3,139,752 entries to 1,162,234.  The keys come from
+``random.Random(0).random()``, whose stream Python keeps fixed across
+versions: the order is part of every :class:`~repro.perf.cache.LabelCache`
+key and every pinned label count.
 """
 
 from __future__ import annotations
 
 import random
 from typing import List
+
+import numpy as np
 
 from ..graphs.graph import Graph
 from ..graphs.traversal import INF, shortest_path_distances
@@ -32,10 +48,18 @@ __all__ = [
 
 
 def degree_order(graph: Graph) -> List[int]:
-    """Vertices by decreasing degree, ties by index."""
-    return sorted(
-        graph.vertices(), key=lambda v: (-graph.degree(v), v)
-    )
+    """Vertices by decreasing degree, ties by a fixed random key, then index.
+
+    The keys are ``random.Random(0).random()`` drawn in vertex order, so
+    the order depends only on the degree sequence: it is the same across
+    calls and on ``graph.copy()``.  Random rather than index ties keep
+    PLL from labeling each equal-degree path end to end (see the module
+    docstring: 124,752 vs 5,371 entries on ``path_graph(500)``).
+    """
+    n = graph.num_vertices
+    degree = np.array(graph.degrees(), dtype=np.int64)
+    keys = np.fromiter(iter(random.Random(0).random, None), np.float64, n)
+    return np.lexsort((np.arange(n), keys, -degree)).tolist()
 
 
 def random_order(graph: Graph, seed: int = 0) -> List[int]:

@@ -12,6 +12,7 @@ per-root traversals (:mod:`repro.perf.parallel`) consume it.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Tuple
 
 from .graph import Graph
@@ -32,24 +33,12 @@ class CSRGraph:
     )
 
     def __init__(self, graph: Graph) -> None:
-        n = graph.num_vertices
-        self.num_vertices = n
+        self.num_vertices = graph.num_vertices
         self._num_edges = graph.num_edges
-        degrees = [graph.degree(v) for v in range(n)]
-        offsets = [0] * (n + 1)
-        for v in range(n):
-            offsets[v + 1] = offsets[v] + degrees[v]
-        targets = [0] * offsets[n]
-        weights = [0] * offsets[n]
-        cursor = list(offsets[:n])
-        for v in range(n):
-            for u, w in graph.neighbors(v):
-                targets[cursor[v]] = u
-                weights[cursor[v]] = w
-                cursor[v] += 1
-        self.offsets = offsets
-        self.targets = targets
-        self.weights = weights
+        self.offsets = list(accumulate(graph.degrees(), initial=0))
+        pairs = [pair for v in graph.vertices() for pair in graph.neighbors(v)]
+        self.targets = [u for u, _ in pairs]
+        self.weights = [w for _, w in pairs]
         self.is_weighted = graph.is_weighted
 
     @property

@@ -150,6 +150,10 @@ class Graph:
         self._check_vertex(v)
         return len(self._adj[v])
 
+    def degrees(self) -> List[int]:
+        """Every vertex's degree, in vertex order."""
+        return [len(row) for row in self._adj]
+
     def max_degree(self) -> int:
         return max((len(row) for row in self._adj), default=0)
 

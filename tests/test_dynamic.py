@@ -318,13 +318,13 @@ class TestFlatStore:
         [
             (
                 False,
-                [(6, 4, 4), (3, 10, 10), (36, 223, 210),
-                 (6, 4, 12), (8, 3, 4), (36, 221, 218)],
-                228,
+                [(5, 4, 4), (4, 7, 12), (36, 225, 216),
+                 (6, 4, 12), (8, 3, 4), (36, 230, 227)],
+                233,
             ),
             (
                 True,
-                [(12, 0, 2), (8, 4, 4), (5, 33, 32),
+                [(13, 0, 2), (8, 4, 4), (5, 33, 32),
                  (8, 44, 41), (5, 14, 13), (9, 5, 8)],
                 184,
             ),
@@ -341,13 +341,13 @@ class TestFlatStore:
         [
             (
                 False,
-                [(36, 220, 221), (35, 219, 228), (30, 184, 182),
-                 (37, 235, 232), (35, 185, 187), (40, 242, 238)],
-                238,
+                [(36, 223, 224), (35, 215, 225), (30, 173, 171),
+                 (37, 233, 230), (35, 193, 195), (40, 239, 235)],
+                235,
             ),
             (
                 True,
-                [(22, 151, 148), (0, 0, 0), (27, 173, 168),
+                [(22, 153, 150), (0, 0, 0), (27, 174, 169),
                  (29, 174, 180), (11, 73, 71), (30, 180, 171)],
                 171,
             ),

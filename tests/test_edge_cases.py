@@ -85,7 +85,7 @@ class TestDenseGraphCorner:
         from repro.graphs import complete_graph
 
         g = complete_graph(12)
-        labeling = pruned_landmark_labeling(g)
+        labeling = pruned_landmark_labeling(g, list(g.vertices()))
         # On a clique every pair's only shortest path is its edge, so
         # the canonical labeling stores exactly the higher-priority
         # endpoint: S(v) = {0..v} under the identity order -- adjacency

@@ -18,6 +18,7 @@ class TestGraphConstruction:
         assert g.num_vertices == 0
         assert g.num_edges == 0
         assert g.max_degree() == 0
+        assert g.degrees() == []
         assert g.average_degree() == 0.0
 
     def test_add_vertices(self):
@@ -96,6 +97,7 @@ class TestGraphInspection:
         g.add_edge(0, 3)
         assert g.degree(0) == 3
         assert g.degree(1) == 1
+        assert g.degrees() == [3, 1, 1, 1]
         assert g.max_degree() == 3
         assert g.average_degree() == pytest.approx(1.5)
 

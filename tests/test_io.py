@@ -156,12 +156,14 @@ class TestV2Artifact:
     @staticmethod
     def _reference():
         # The graph the fixture was built from: two trees, so pairs
-        # across them are INF.
+        # across them are INF.  Its order was the one degree_order gave
+        # then: decreasing degree, ties by index.
         graph = Graph(24)
         for offset, size, seed in ((0, 15, 4), (15, 9, 5)):
             for u, v, w in random_tree(size, seed=seed).edges():
                 graph.add_edge(offset + u, offset + v, w)
-        return pruned_landmark_labeling(graph)
+        order = sorted(graph.vertices(), key=lambda v: (-graph.degree(v), v))
+        return pruned_landmark_labeling(graph, order)
 
     def test_loads_answer_identical(self):
         from repro.core.io import flat_labeling_from_bytes

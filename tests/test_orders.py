@@ -6,11 +6,33 @@ from repro.core import (
     eccentricity_order,
     random_order,
 )
-from repro.graphs import grid_2d, path_graph, star_graph
+from repro.core.pll import pruned_landmark_labeling
+from repro.graphs import (
+    Graph,
+    barabasi_albert,
+    grid_2d,
+    path_graph,
+    random_sparse_graph,
+    star_graph,
+)
+from repro.lowerbound.degree3 import build_degree3_instance
+from repro.perf.build import build_flat_labels
 
 
 def is_permutation(order, n):
     return sorted(order) == list(range(n))
+
+
+def _order_graphs():
+    return [
+        Graph(0),
+        Graph(3),
+        path_graph(9),
+        star_graph(6),
+        grid_2d(5, 7),
+        random_sparse_graph(60, seed=3),
+        barabasi_albert(200, 2, seed=0),
+    ]
 
 
 class TestOrders:
@@ -19,10 +41,27 @@ class TestOrders:
         assert order[0] == 0
         assert is_permutation(order, 6)
 
-    def test_degree_order_tie_break_by_index(self):
-        order = degree_order(path_graph(4))
-        # degrees: 1,2,2,1 -> [1, 2, 0, 3]
-        assert order == [1, 2, 0, 3]
+    def test_degree_order_is_a_degree_sorted_permutation(self):
+        for g in _order_graphs():
+            order = degree_order(g)
+            assert is_permutation(order, g.num_vertices)
+            assert all(type(v) is int for v in order)
+            degrees = [g.degree(v) for v in order]
+            assert degrees == sorted(degrees, reverse=True)
+
+    def test_degree_order_is_fixed_across_calls_and_copies(self):
+        for g in _order_graphs():
+            order = degree_order(g)
+            assert degree_order(g) == order
+            assert degree_order(g.copy()) == order
+
+    def test_default_order_halves_index_tie_labels(self):
+        # Regression guard for the random tie-break: index ties root a
+        # path's vertices end to end, which stores 124,752 entries on
+        # path_graph(500) and 58,004 on G(2, 1).
+        assert pruned_landmark_labeling(path_graph(500)).total_size() <= 124_752 // 2
+        g21 = build_degree3_instance(2, 1).graph
+        assert build_flat_labels(g21).total_size() <= 58_004 // 2
 
     def test_random_order_deterministic_per_seed(self, small_grid):
         a = random_order(small_grid, seed=5)
