@@ -4,7 +4,7 @@
 builder: one pruned BFS per root, labels accumulated in per-vertex
 dicts, then a separate dict->:class:`FlatHubLabeling` conversion for
 the serving layout.  On the pinned G(2,2) bench instance that costs
-~25s of build plus ~0.9s of conversion -- the construction side is the
+about 7 s of build plus the conversion -- the construction side is the
 bottleneck now that queries are served from flat arrays.
 
 :func:`build_flat_labels` replaces that pipeline with the multi-root
@@ -17,11 +17,17 @@ bit-parallel batching, widened):
   ``vertex * _BATCH + slot`` keys) and the pruning tests are a handful
   of NumPy array operations per level instead of millions of
   interpreter steps;
-* labels accumulate directly in a CSR store of hub *ranks* (ascending
-  within each run by construction), merged once per batch with a
-  vectorized scatter into recycled ping-pong buffers; the finished
-  store is emitted as a :class:`FlatHubLabeling` without ever
-  materializing the per-vertex dict -- the conversion step disappears;
+* labels accumulate directly in a store of hub *ranks*, one run per
+  vertex with spare capacity behind it.  A batch only ever adds ranks
+  higher than everything stored, so its commits are appended in place
+  after each run's end with one vectorized scatter.  Only when some
+  run would outgrow its capacity is the whole store laid out again,
+  every capacity set to twice its run.  A run overflows only after it
+  has doubled since the last re-layout, so re-layouts are rare (2 over
+  the 48 batches of G(2,2)) and a build moves few stored entries
+  beyond the ones it appends.  One final compaction emits a
+  :class:`FlatHubLabeling` without ever materializing the per-vertex
+  dict -- the conversion step disappears;
 * the output is **identical** to the reference builder's canonical
   hierarchical labeling (tests assert byte equality over the
   differential corpus).  Within a batch the pruning test must see
@@ -164,16 +170,40 @@ def _grouped_runs(sorted_v):
     return gpos, sorted_v[gpos], cnts
 
 
+def _relayout(store_hub, store_dist, lab_off, lab_len, total, cap):
+    """Copy every run into a fresh store, run ``v`` with ``cap[v]`` cells.
+
+    Returns the new ``(lab_off, store_hub, store_dist)``; the cells
+    past each run's end are left uninitialised.
+    """
+    off = np.zeros(cap.size, dtype=np.int64)
+    np.cumsum(cap[:-1], out=off[1:])
+    size = int(off[-1] + cap[-1])
+    hub = np.empty(size, dtype=store_hub.dtype)
+    dist = np.empty(size, dtype=store_dist.dtype)
+    if total:
+        src = _seg_indices(lab_off, lab_len, total)
+        dst = _seg_indices(off, lab_len, total)
+        hub[dst] = store_hub[src]
+        dist[dst] = store_dist[src]
+    return off, hub, dist
+
+
 def _bitparallel_flat(
     graph: Graph, order: List[int], passes
 ) -> FlatHubLabeling:
     """``_BATCH`` roots per pass, one level-synchronous BFS per pass.
 
-    Labels accumulate as (hub *rank*, distance) CSR runs -- ascending
-    ranks within each run by construction, because every batch appends
-    strictly higher ranks, so the whole batch merges into the store
-    with one vectorized scatter per pass.  In-flight entries of the
-    current batch live in a dense distance matrix (``dinf``) consulted
+    Labels accumulate as (hub *rank*, distance) runs, vertex ``v``'s
+    in ``cap[v]`` cells -- ascending ranks within each run by
+    construction, because every batch appends strictly higher ranks,
+    so a batch's commits are appended in place with one vectorized
+    scatter.  A batch that would overflow some run's capacity first
+    re-lays the whole store out (:func:`_relayout`), every capacity
+    twice its run's new length.  A run overflows only once it has
+    doubled since the last re-layout, so that happens a few times per
+    build, not once per batch.  In-flight entries of the current
+    batch live in a dense distance matrix (``dinf``) consulted
     through per-slot rows of known lower roots (``jcol``/``jdist``) by
     the coverage tests; the finished store is converted to id-sorted
     hub arrays once at the end.
@@ -191,14 +221,16 @@ def _bitparallel_flat(
     order_arr = np.asarray(order, dtype=np.int64)
     ar_n = np.arange(n, dtype=np.int64)
 
-    # Committed labels over all finished batches, CSR over vertices.
-    # store_hub holds hub RANKS (strictly ascending within each run).
-    lab_off = np.zeros(n + 1, dtype=np.int64)
+    # Committed labels over all finished batches: vertex v's run is
+    # lab_len[v] entries at lab_off[v], followed by spare cells up to
+    # its capacity cap[v] for later batches' appends.  store_hub holds
+    # hub RANKS (strictly ascending within each run).
+    lab_off = np.zeros(n, dtype=np.int64)
     lab_len = np.zeros(n, dtype=np.int64)
-    # Views into ping-pong buffers (see the merge at the batch end);
-    # zero-length slices so ``.base`` is valid from the first merge on.
-    store_hub = np.empty(0, dtype=np.int32)[:0]
-    store_dist = np.empty(0, dtype=np.int32)[:0]
+    cap = np.zeros(n, dtype=np.int64)
+    store_hub = np.empty(0, dtype=np.int32)
+    store_dist = np.empty(0, dtype=np.int32)
+    total = 0
 
     # Dense scratch, reused across batches (flat layouts back the
     # pre-multiplied index gathers in the coverage tests -- measurably
@@ -222,12 +254,6 @@ def _bitparallel_flat(
     root_index = np.full(n, -1, dtype=np.int64)
     slots_all = np.arange(K, dtype=np.int64)
     iota = np.arange(max(n, 1), dtype=np.int64)
-
-    # Spare ping-pong pair for the committed-store merge: scattering
-    # into a recycled buffer beats page-faulting a fresh allocation of
-    # the same tens of MB on every pass.
-    sp_hub = np.empty(0, dtype=np.int32)
-    sp_dist = np.empty(0, dtype=np.int32)
 
     for batch_start in range(0, n, K):
         roots = order_arr[batch_start : batch_start + K]
@@ -385,9 +411,11 @@ def _bitparallel_flat(
         dinf[alls * n + allv] = _UNREACHED
         jlen[:] = 0
 
-        # Merge the batch's commits into the committed CSR: every new
-        # entry has a higher rank than everything stored, so each
-        # vertex's additions are appended to its run in one pass.
+        # Append the batch's commits to their vertices' runs: every new
+        # entry has a higher rank than everything stored, so it goes
+        # after the run's current end.  Only when some run would outgrow
+        # its capacity is the whole store laid out again, with every
+        # capacity twice its run.
         dlev = np.repeat(
             np.asarray(level_ds, dtype=np.int64),
             np.asarray(level_sizes, dtype=np.int64),
@@ -404,41 +432,33 @@ def _bitparallel_flat(
         if A > iota.size:
             iota = np.arange(A, dtype=np.int64)
         ordinal = iota[:A] - np.repeat(gpos, cnts)
-        counts = np.zeros(n, dtype=np.int64)
-        counts[uvn] = cnts
-        prefix = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=prefix[1:])
-        new_off = lab_off + prefix
-        old_total = store_hub.size
-        need = old_total + A
-        if sp_hub.size < need:
-            sp_hub = np.empty(need * 2, dtype=np.int32)
-            sp_dist = np.empty(need * 2, dtype=np.int32)
-        merged_hub = sp_hub[:need]
-        merged_dist = sp_dist[:need]
-        if old_total:
-            if old_total > iota.size:
-                iota = np.arange(old_total, dtype=np.int64)
-            dest_old = iota[:old_total] + np.repeat(prefix[:n], lab_len)
-            merged_hub[dest_old] = store_hub
-            merged_dist[dest_old] = store_dist
-        dest_new = new_off[v_new] + lab_len[v_new] + ordinal
-        merged_hub[dest_new] = h_new
-        merged_dist[dest_new] = d_new
-        # The buffers backing the outgoing store become next batch's
-        # scatter target; the merged views become the store.
-        sp_hub, sp_dist = store_hub.base, store_dist.base
-        store_hub, store_dist = merged_hub, merged_dist
-        lab_off = new_off
-        lab_len = lab_len + counts
+        new_len = lab_len.copy()
+        new_len[uvn] += cnts
+        if (new_len[uvn] > cap[uvn]).any():
+            # Empty runs get one cell, so a vertex first reached by a
+            # later batch (another component, an isolated vertex) does
+            # not force a re-layout for its self-entry.
+            cap = np.maximum(2 * new_len, 1)
+            lab_off, store_hub, store_dist = _relayout(
+                store_hub, store_dist, lab_off, lab_len, total, cap
+            )
+        dest_new = lab_off[v_new] + lab_len[v_new] + ordinal
+        store_hub[dest_new] = h_new
+        store_dist[dest_new] = d_new
+        lab_len = new_len
+        total += A
 
-    # Ranks -> vertex ids, each run re-sorted by hub id for the flat
-    # store's merge invariant (stable argsort on vertex-major keys).
+    # Compact the runs, then map ranks -> vertex ids with each run
+    # re-sorted by hub id for the flat store's merge invariant (stable
+    # argsort on vertex-major keys).
+    lab_off, store_hub, store_dist = _relayout(
+        store_hub, store_dist, lab_off, lab_len, total, lab_len
+    )
     hub_ids = order_arr[store_hub]
     owner = np.repeat(ar_n, lab_len)
     perm = np.argsort(owner * n + hub_ids, kind="stable")
     return FlatHubLabeling(
-        lab_off,
+        np.append(lab_off, total),
         hub_ids[perm].astype(np.int32),
         store_dist[perm],
         validate=False,

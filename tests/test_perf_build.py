@@ -17,7 +17,15 @@ import pytest
 
 from repro.core import pruned_landmark_labeling
 from repro.core.orders import degree_order, random_order
-from repro.graphs import Graph, grid_2d, random_sparse_graph, random_tree
+from repro.graphs import (
+    Graph,
+    barabasi_albert,
+    grid_2d,
+    path_graph,
+    random_sparse_graph,
+    random_tree,
+)
+from repro.lowerbound.degree3 import build_degree3_instance
 from repro.obs.catalog import (
     BUILD_BITPARALLEL_PASSES,
     BUILD_DURATION_SECONDS,
@@ -80,6 +88,29 @@ class TestBatchWidths:
         monkeypatch.setattr(build_module, "_BATCH", width)
         assert_identical(random_sparse_graph(60, seed=5))
         assert_identical(grid_2d(5, 5))
+
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_runs_outgrow_their_capacity_mid_build(self, width, monkeypatch):
+        """Appends past a run's capacity re-lay the store out; answers hold."""
+        monkeypatch.setattr(build_module, "_BATCH", width)
+        moved = []
+        relayout = build_module._relayout
+
+        def spy(store_hub, store_dist, lab_off, lab_len, total, cap):
+            moved.append(total)
+            return relayout(store_hub, store_dist, lab_off, lab_len, total, cap)
+
+        monkeypatch.setattr(build_module, "_relayout", spy)
+        for graph in (
+            build_degree3_instance(2, 1).graph,
+            path_graph(200),
+            barabasi_albert(600, 2, seed=0),
+        ):
+            moved.clear()
+            assert_identical(graph)
+            # The last call is the final compaction; an earlier call
+            # with entries already stored is a re-layout mid-build.
+            assert any(0 < total < moved[-1] for total in moved[:-1])
 
     def test_batch_smaller_than_graph_and_larger(self, monkeypatch):
         graph = random_tree(40, seed=2)

@@ -66,6 +66,35 @@ class TestKey:
         order = [0, 1, 2]
         assert cache_key(g1, order) != cache_key(g2, order)
 
+    def test_key_ignores_edge_insertion_order(self):
+        graph = _graph()
+        edges = list(graph.edges())
+        shuffled = Graph(graph.num_vertices)
+        for u, v, w in reversed(edges):
+            shuffled.add_edge(v, u, w)
+        order = degree_order(graph)
+        assert cache_key(shuffled, order) == cache_key(graph, order)
+        assert cache_key(graph.copy(), order) == cache_key(graph, order)
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 2.5)])
+    def test_key_hashes_weights_exactly(self, a, b):
+        keys = []
+        for weight in (a, b):
+            graph = Graph(3)
+            graph.add_edge(0, 1, weight)
+            graph.add_edge(1, 2, 3)
+            keys.append(cache_key(graph, [0, 1, 2]))
+        assert keys[0] != keys[1]
+
+    def test_key_of_edgeless_graph(self):
+        assert cache_key(Graph(4), [0, 1, 2, 3]) == cache_key(
+            Graph(4), [0, 1, 2, 3]
+        )
+        assert cache_key(Graph(4), [0, 1, 2, 3]) != cache_key(
+            Graph(4), [3, 2, 1, 0]
+        )
+        assert cache_key(Graph(0), []) != cache_key(Graph(1), [0])
+
 
 class TestRoundTrip:
     def test_cold_build_then_warm_hit(self, tmp_path):
@@ -91,6 +120,23 @@ class TestRoundTrip:
         cache.load_or_build(graph, degree_order(graph))
         cache.load_or_build(graph, random_order(graph, seed=2))
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_load_or_build_hashes_the_graph_once(self, tmp_path, monkeypatch):
+        from repro.perf import cache as cache_module
+
+        calls = []
+
+        def counting_key(graph, order):
+            calls.append(1)
+            return cache_key(graph, order)
+
+        monkeypatch.setattr(cache_module, "cache_key", counting_key)
+        cache = LabelCache(tmp_path)
+        graph = _graph()
+        cache.load_or_build(graph)  # miss: lookup and store
+        assert len(calls) == 1
+        cache.load_or_build(graph)  # hit
+        assert len(calls) == 2
 
     def test_missing_directory_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"
