@@ -22,35 +22,46 @@ garbage.  Envelope layout, all integers big-endian::
 
     offset  size  field
     0       4     magic  b"RHL\\x01"  (format marker)
-    4       1     format version      (1 = bit stream, 2 = flat arrays)
+    4       1     format version      (1 = bit stream, 2-4 = flat arrays)
     5       8     num_vertices        (redundant with payload; checked)
     13      8     payload length in bytes
     21      4     CRC32 of payload
     25      ...   payload
 
 Version-1 payloads are the legacy bit stream (8-byte bit count + bits).
-Version-3 payloads (:func:`flat_labeling_to_bytes` /
+Version-4 payloads (:func:`flat_labeling_to_bytes` /
 :func:`flat_labeling_from_bytes`) carry a
 :class:`~repro.perf.flat.FlatHubLabeling` as its own arrays, raw and
 little-endian, each starting 8-byte aligned in the envelope::
 
     1                 dist tier tag  (1 = uint16, 2 = uint32, 3 = float64)
+    1                 hub width in bytes  (2 = uint16, 4 = int32)
     8                 total entry count T  (big-endian, like the header)
-    6                 zero padding (the offsets start at envelope byte 40)
+    5                 zero padding (the offsets start at envelope byte 40)
     8 * (n + 1)       offsets  (int64)
-    4 * T             hub ids  (int32)
-    4 * (T % 2)       zero padding
+    h * T             hub ids  (h = 2 or 4 bytes, per the width)
+    (-h * T) % 8      zero padding
     w * T             distances (w = 2, 4 or 8 bytes, per the tag)
 
-so an ``mmap`` of the file or a shared-memory copy of the blob *is* a
-store (:func:`flat_labeling_view`), and serialize/load are O(bytes)
-copies -- the format behind the persistent label cache
-(:mod:`repro.perf.cache`).  Version-2 payloads (int64 hubs and float64
-distances, written by earlier releases) still load through a one-way
-loader that narrows them into the version-3 layout; nothing writes
-version 2 any more.  Fully loaded flat payloads are structurally
-validated (offsets monotone, hub ids in range and ascending per run,
-distances inside their tier) before use.
+The hub width is the store's hub tier, which follows from ``n``
+(``uint16`` when ``n <= 2**16``); a width that does not match ``n``'s
+tier is corrupt.  An ``mmap`` of the file or a shared-memory copy of
+the blob *is* a store (:func:`flat_labeling_view`), and
+serialize/load are O(bytes) copies -- the format behind the
+persistent label cache (:mod:`repro.perf.cache`).
+
+Two earlier flat payloads still load, one way, through the store's
+constructor, which narrows them into the version-4 layout; nothing
+writes them any more, and neither can be mapped:
+
+* version 3 -- the version-4 layout with always-int32 hubs and no
+  width byte (the tag, the 8-byte count, 6 bytes of padding);
+* version 2 -- an 8-byte count, then int64 offsets, int64 hubs and
+  float64 distances.
+
+Fully loaded flat payloads are structurally validated (offsets
+monotone, hub ids in range and ascending per run, distances inside
+their tier) before use.
 
 Legacy (pre-envelope) blobs start with the payload directly; since
 their leading 8-byte bit count never reaches ``2**56``, the first byte
@@ -101,10 +112,13 @@ ARTIFACT_MAGIC = b"RHL\x01"
 #: Envelope format version of the gap+gamma bit-stream payload.
 ARTIFACT_VERSION = 1
 #: Envelope format version of the flat-array payload.
-FLAT_ARTIFACT_VERSION = 3
-#: The flat payload of earlier releases (int64 hubs, float64 dists),
-#: still readable by :func:`flat_labeling_from_bytes`.
+FLAT_ARTIFACT_VERSION = 4
+#: Flat payloads of earlier releases, still readable by
+#: :func:`flat_labeling_from_bytes`: int32 hubs (3), and int64 hubs
+#: with float64 dists (2).
+_V3_FLAT_VERSION = 3
 _V2_FLAT_VERSION = 2
+_FLAT_VERSIONS = (FLAT_ARTIFACT_VERSION, _V3_FLAT_VERSION, _V2_FLAT_VERSION)
 #: Envelope header size: magic + version + n + payload length + CRC32.
 _HEADER_SIZE = 4 + 1 + 8 + 8 + 4
 
@@ -289,7 +303,7 @@ def labeling_from_bytes(blob: bytes) -> HubLabeling:
     """Deserialize a labeling from envelope or legacy bytes.
 
     Accepts every format this module writes or wrote -- version-1 bit
-    streams, version-2 and version-3 flat arrays (thawed into the dict
+    streams, version-2 to version-4 flat arrays (thawed into the dict
     store), and legacy pre-envelope blobs.  Raises :class:`ArtifactCorruptError` (with the
     failing offset) on truncated, bit-flipped, or otherwise malformed
     input.
@@ -298,7 +312,7 @@ def labeling_from_bytes(blob: bytes) -> HubLabeling:
         version, declared_n, payload = _open_envelope(blob)
         if version == ARTIFACT_VERSION:
             return _decode_v1_envelope(declared_n, payload)
-        if version in (FLAT_ARTIFACT_VERSION, _V2_FLAT_VERSION):
+        if version in _FLAT_VERSIONS:
             return _decode_flat(version, declared_n, payload).to_labeling()
         raise ArtifactCorruptError(
             f"unsupported artifact version {version}", offset=4
@@ -315,23 +329,26 @@ def labeling_from_bytes(blob: bytes) -> HubLabeling:
 
 
 # ----------------------------------------------------------------------
-# Flat-array payload (envelope version 3; version 2 read one way)
+# Flat-array payload (envelope version 4; versions 2 and 3 read one way)
 # ----------------------------------------------------------------------
-#: Dist tier tag of a version-3 payload -> little-endian dtype.
+#: Dist tier tag of a flat payload -> little-endian dtype.
 _DIST_TAGS = {1: np.dtype("<u2"), 2: np.dtype("<u4"), 3: np.dtype("<f8")}
-#: Payload bytes before the offsets: tag, entry count, padding.
-_V3_PREFIX = 15
+#: Payload bytes before the offsets: tag, hub width (version 4 only),
+#: entry count, padding.
+_FLAT_PREFIX = 15
 
 
-def _v3_layout(n: int, total: int, itemsize: int) -> Tuple[int, int, int]:
+def _flat_layout(
+    n: int, total: int, hub_size: int, dist_size: int
+) -> Tuple[int, int, int]:
     """Payload offsets of the hubs and the dists, and the payload size."""
-    hubs_at = _V3_PREFIX + 8 * (n + 1)
-    dists_at = hubs_at + 4 * total + 4 * (total % 2)
-    return hubs_at, dists_at, dists_at + itemsize * total
+    hubs_at = _FLAT_PREFIX + 8 * (n + 1)
+    dists_at = hubs_at + hub_size * total + (-hub_size * total) % 8
+    return hubs_at, dists_at, dists_at + dist_size * total
 
 
 def flat_labeling_to_bytes(flat: "FlatHubLabeling") -> bytes:
-    """Serialize a flat labeling as a version-3 enveloped artifact.
+    """Serialize a flat labeling as a version-4 enveloped artifact.
 
     The payload is the store's arrays verbatim (little-endian), so both
     directions are O(bytes) copies -- no per-entry coding.  The result
@@ -342,14 +359,17 @@ def flat_labeling_to_bytes(flat: "FlatHubLabeling") -> bytes:
     offsets, hubs, dists = flat.arrays()
     total = flat.total_size()
     tag = next(t for t, dtype in _DIST_TAGS.items() if dtype == dists.dtype)
-    hubs_at, dists_at, size = _v3_layout(flat.num_vertices, total, dists.itemsize)
+    hubs_at, dists_at, size = _flat_layout(
+        flat.num_vertices, total, hubs.itemsize, dists.itemsize
+    )
     blob = bytearray(_HEADER_SIZE + size)
     payload = memoryview(blob)[_HEADER_SIZE:]
     payload[0] = tag
-    payload[1:9] = total.to_bytes(8, "big")
+    payload[1] = hubs.itemsize
+    payload[2:10] = total.to_bytes(8, "big")
     for at, values, dtype in (
-        (_V3_PREFIX, offsets, "<i8"),
-        (hubs_at, hubs, "<i4"),
+        (_FLAT_PREFIX, offsets, "<i8"),
+        (hubs_at, hubs, hubs.dtype.newbyteorder("<")),
         (dists_at, dists, _DIST_TAGS[tag]),
     ):
         raw = np.ascontiguousarray(values, dtype=dtype).view(np.uint8)
@@ -369,9 +389,10 @@ def _flat_payload_error(message: str, at: int) -> ArtifactCorruptError:
 def _decode_flat(
     version: int, declared_n: int, payload, *, validate: bool = True
 ) -> "FlatHubLabeling":
-    """A store over a version-3 payload (zero copy), or a version-2
-    payload narrowed into one."""
+    """A store over a version-4 payload (zero copy), or a version-2 or
+    version-3 payload narrowed into one."""
     from ..perf.flat import FlatHubLabeling
+    from ..perf.kernels import hub_dtype
 
     length = len(payload)
     if version == _V2_FLAT_VERSION:
@@ -382,14 +403,31 @@ def _decode_flat(
         expected = dists_at + 8 * total
         dtypes = ("<i8", "<i8", "<f8")
     else:
-        prefix = _V3_PREFIX
+        prefix = _FLAT_PREFIX
         tag = payload[0] if length else 0
         if length and tag not in _DIST_TAGS:
             raise _flat_payload_error(f"unknown dist tier tag {tag}", 0)
-        total = int.from_bytes(payload[1:9], "big") if length >= 9 else 0
-        dtypes = ("<i8", "<i4", _DIST_TAGS.get(tag, _DIST_TAGS[1]))
-        hubs_at, dists_at, expected = _v3_layout(
-            declared_n, total, dtypes[2].itemsize
+        if version == _V3_FLAT_VERSION:
+            hub = np.dtype("<i4")
+            count_at = 1
+        else:
+            width = payload[1] if length > 1 else 0
+            hub = hub_dtype(declared_n).newbyteorder("<")
+            if length > 1 and width != hub.itemsize:
+                raise _flat_payload_error(
+                    f"hub width {width} does not match the {hub.name} hub "
+                    f"tier of {declared_n} vertices",
+                    1,
+                )
+            count_at = 2
+        total = (
+            int.from_bytes(payload[count_at : count_at + 8], "big")
+            if length >= count_at + 8
+            else 0
+        )
+        dtypes = ("<i8", hub, _DIST_TAGS.get(tag, _DIST_TAGS[1]))
+        hubs_at, dists_at, expected = _flat_layout(
+            declared_n, total, hub.itemsize, dtypes[2].itemsize
         )
     if length < prefix:
         raise _flat_payload_error(
@@ -412,7 +450,7 @@ def _decode_flat(
         # conversion copy beats serving byte-swapped garbage.
         arrays = [values.astype(values.dtype.newbyteorder("=")) for values in arrays]
     try:
-        if version == _V2_FLAT_VERSION:
+        if version != FLAT_ARTIFACT_VERSION:
             return FlatHubLabeling(*arrays, validate=True)
         return FlatHubLabeling.from_buffers(*arrays, validate=validate)
     except ValueError as exc:
@@ -478,13 +516,13 @@ def flat_labeling_view(
 ) -> "FlatHubLabeling":
     """A zero-copy :class:`FlatHubLabeling` over an enveloped buffer.
 
-    The buffer must hold a version-3 (flat-array) envelope; the store's
+    The buffer must hold a version-4 (flat-array) envelope; the store's
     arrays are read-only NumPy views straight into it -- nothing is
     deserialized, so opening a memory-mapped artifact costs O(pages
     touched), not O(entries).  Validation is tiered to match:
 
-    * the **header** (magic, version, lengths, dist tier tag) is always
-      checked -- O(1);
+    * the **header** (magic, version, lengths, dist tier tag, hub
+      width) is always checked -- O(1);
     * the payload **CRC32** runs only with ``verify_crc=True`` (or
       later, via :func:`verify_envelope_crc` on the same buffer);
     * the full **structural** walk (offsets monotone, hub ids in range
@@ -492,9 +530,9 @@ def flat_labeling_view(
       ``validate=True``.
 
     The returned store keeps ``buffer`` alive for as long as it is
-    queryable.  Version-2 artifacts hold wider arrays than a store, so
-    they cannot be mapped; :func:`flat_labeling_from_bytes` narrows
-    them.
+    queryable.  Version-2 and version-3 artifacts hold wider arrays than
+    a store, so they cannot be mapped; :func:`flat_labeling_from_bytes`
+    narrows them.
     """
     view = memoryview(buffer)
     version, declared_n, payload_len, _ = _open_envelope_header(view)
@@ -518,8 +556,9 @@ def flat_labeling_view(
 def flat_labeling_from_bytes(blob: bytes) -> "FlatHubLabeling":
     """Deserialize a :class:`FlatHubLabeling` from any artifact flavor.
 
-    Version-3 blobs become a validated store over ``blob`` itself (no
-    copy); version-2 blobs are narrowed into the version-3 layout;
+    Version-4 blobs become a validated store over ``blob`` itself (no
+    copy); version-2 and version-3 blobs are narrowed into the
+    version-4 layout;
     version-1 and legacy bit streams are decoded and frozen, so
     existing artifacts keep working.  Raises
     :class:`ArtifactCorruptError` exactly like
@@ -532,7 +571,7 @@ def flat_labeling_from_bytes(blob: bytes) -> "FlatHubLabeling":
         # caller can still change.
         blob = bytes(blob)
         version, declared_n, payload = _open_envelope(blob)
-        if version in (FLAT_ARTIFACT_VERSION, _V2_FLAT_VERSION):
+        if version in _FLAT_VERSIONS:
             return _decode_flat(version, declared_n, payload)
         if version == ARTIFACT_VERSION:
             return FlatHubLabeling.from_labeling(

@@ -442,7 +442,7 @@ class DynamicHubLabeling:
         offsets, hubs, dists = survivors
         n = len(offsets) - 1
         add_v = np.array(additions[0], dtype=np.int64)
-        add_h = np.array(additions[1], dtype=np.int32)
+        add_h = np.array(additions[1], dtype=hubs.dtype)
         add_d = np.array(additions[2])
         keys = add_v * n + add_h
         order = np.argsort(keys)

@@ -3,9 +3,10 @@
 The pieces (see docs/performance.md):
 
 * :class:`~repro.perf.flat.FlatHubLabeling` -- immutable CSR-style
-  label store (int32 hubs, narrowest exact dist tier) whose arrays the
-  vectorized kernels of :mod:`repro.perf.kernels` read in place,
-  selectable on the oracles via ``backend="flat"``;
+  label store (uint16 hubs when ``n <= 2**16``, else int32; narrowest
+  exact dist tier) whose arrays the vectorized kernels of
+  :mod:`repro.perf.kernels` read in place, selectable on the oracles
+  via ``backend="flat"``;
 * :func:`~repro.perf.build.build_flat_labels` -- the bit-parallel
   multi-root PLL builder emitting the canonical labeling straight to
   the flat layout (no dict intermediate, no conversion pass);

@@ -41,8 +41,11 @@ bit-parallel batching, widened):
 Weighted graphs take the reference builder
 (:func:`repro.core.pll.pruned_landmark_labeling`) followed by
 :meth:`FlatHubLabeling.from_labeling` -- same output.  Either way the
-store comes out in the compact layout of :mod:`repro.perf.flat` (int32
-hubs, narrowest exact dist tier).  Builds report a ``build.flat`` tracing span, the
+store comes out in the compact layout of :mod:`repro.perf.flat` (hub
+ids in the store's hub tier, narrowest exact dist tier); the
+bit-parallel path maps ranks straight to hub ids of that tier, so the
+freeze adopts its arrays without a narrowing copy.  Builds report a
+``build.flat`` tracing span, the
 ``build.duration_seconds{builder=...}`` gauge and a
 ``build.bitparallel_passes`` counter (created even when the fallback
 runs, so snapshots always carry it).  ``BUILDER_VERSION`` participates
@@ -66,6 +69,7 @@ from ..obs.catalog import (
 from ..obs.registry import get_registry
 from ..obs.spans import span
 from .flat import FlatHubLabeling
+from .kernels import hub_dtype
 
 __all__ = ["BUILDER_VERSION", "build_flat_labels", "bitparallel_available"]
 
@@ -454,12 +458,12 @@ def _bitparallel_flat(
     lab_off, store_hub, store_dist = _relayout(
         store_hub, store_dist, lab_off, lab_len, total, lab_len
     )
-    hub_ids = order_arr[store_hub]
+    hub_ids = order_arr.astype(hub_dtype(n))[store_hub]
     owner = np.repeat(ar_n, lab_len)
     perm = np.argsort(owner * n + hub_ids, kind="stable")
     return FlatHubLabeling(
         np.append(lab_off, total),
-        hub_ids[perm].astype(np.int32),
+        hub_ids[perm],
         store_dist[perm],
         validate=False,
     )

@@ -13,13 +13,16 @@ as id-sorted runs so that a query is a linear pointer merge.
 arrays over the whole labeling,
 
 * ``offsets`` -- int64; ``offsets[v] : offsets[v + 1]`` slices ``v``'s run,
-* ``hubs``    -- int32 hub ids, ascending within each run,
+* ``hubs``    -- hub ids, ascending within each run, in the hub tier:
+  ``uint16`` when ``n <= 2**16``, ``int32`` otherwise,
 * ``dists``   -- distances parallel to ``hubs``, in the narrowest exact
-  dtype: ``uint16``, ``uint32`` or ``float64`` (the tiers of
-  :mod:`repro.perf.kernels`), chosen once when the store is frozen.
+  dtype: ``uint16``, ``uint32`` or ``float64``.
 
-That layout is the batch kernels' own, so they read the store in place,
-and it is what the version-3 artifact envelope persists byte for byte
+Both tiers (see :mod:`repro.perf.kernels`) are chosen once, when the
+store is frozen, so an entry of an unweighted labeling on fewer than
+``2**16`` vertices takes four bytes.  That layout is the batch
+kernels' own, so they read the store in place, and it is what the
+version-4 artifact envelope persists byte for byte
 (:mod:`repro.core.io`): an ``mmap`` of an artifact or a
 ``multiprocessing.shared_memory`` segment (see :mod:`repro.perf.shm`)
 becomes a store without a copy, which is what lets N worker processes
@@ -84,16 +87,20 @@ class FlatHubLabeling:
         *,
         validate: bool = True,
     ) -> None:
+        offsets = np.asarray(offsets, dtype=np.int64)
         hubs = np.asarray(hubs)
-        if hubs.dtype != np.int32:
-            if hubs.size and (hubs.min() < 0 or hubs.max() >= 1 << 31):
-                raise ValueError("hub id out of range for int32")
-            hubs = hubs.astype(np.int32)
+        tier = kernels.hub_dtype(len(offsets) - 1)
+        if hubs.dtype != tier:
+            if hubs.size and (
+                hubs.min() < 0 or hubs.max() > np.iinfo(tier).max
+            ):
+                raise ValueError(f"hub id out of range for {tier.name}")
+            hubs = hubs.astype(tier)
         dists = np.asarray(dists)
         if dists.dtype.kind not in "uif":
             dists = dists.astype(np.float64)
         self._adopt(
-            np.asarray(offsets, dtype=np.int64),
+            offsets,
             hubs,
             dists.astype(kernels.dist_dtype(dists), copy=False),
             validate,
@@ -119,9 +126,9 @@ class FlatHubLabeling:
     ) -> "FlatHubLabeling":
         """Adopt arrays already in the store's layout -- zero copy.
 
-        ``offsets`` / ``hubs`` / ``dists`` must be int64 / int32 /
+        ``offsets`` / ``hubs`` / ``dists`` must be int64 / hub-tier /
         dist-tier ndarrays, typically read-only views over an ``mmap``
-        of a version-3 artifact or a ``multiprocessing.shared_memory``
+        of a version-4 artifact or a ``multiprocessing.shared_memory``
         segment (see :func:`repro.core.io.flat_labeling_view`).  The
         store keeps the underlying buffer alive, so a mapped file stays
         mapped exactly as long as someone can still query it.  Nothing
@@ -130,9 +137,10 @@ class FlatHubLabeling:
         ``validate=True`` adds the structural checks plus a check that
         every distance lies inside its tier.
         """
+        n = len(offsets) - 1
         for name, values, dtypes in (
             ("offsets", offsets, (np.dtype(np.int64),)),
-            ("hubs", hubs, (np.dtype(np.int32),)),
+            ("hubs", hubs, (kernels.hub_dtype(n),)),
             ("dists", dists, tuple(kernels.SENTINELS)),
         ):
             if not isinstance(values, np.ndarray) or values.dtype not in dtypes:
@@ -300,8 +308,8 @@ class FlatHubLabeling:
     def arrays(self):
         """The CSR triple as read-only NumPy views, without a copy.
 
-        Returns ``(offsets, hubs, dists)`` as int64 / int32 / dist-tier
-        arrays over the store's own memory.
+        Returns ``(offsets, hubs, dists)`` as int64 / hub-tier /
+        dist-tier arrays over the store's own memory.
         """
         return self._triple()
 

@@ -1,10 +1,13 @@
 """Vectorized batch-query kernels over a flat store's own arrays.
 
 The kernels read a :class:`~repro.perf.flat.FlatHubLabeling`'s CSR
-triple in place -- int64 ``offsets``, int32 ``hubs`` and ``dists`` in
-the store's dist dtype -- so no store keeps a second, kernel-private
-copy of its labels.  The dist dtype is the narrowest exact one,
-chosen once when the store is frozen (:func:`dist_dtype`):
+triple in place -- int64 ``offsets``, ``hubs`` in the store's hub
+dtype and ``dists`` in its dist dtype -- so no store keeps a second,
+kernel-private copy of its labels.  Both dtypes are chosen once, when
+the store is frozen.  The hub dtype follows from the vertex count
+(:func:`hub_dtype`): ``uint16`` when ``n <= 2**16``, ``int32``
+otherwise.  The dist dtype is the narrowest exact one
+(:func:`dist_dtype`):
 
 ==========  ==========================================  ===========
 dtype       holds                                        "absent"
@@ -32,8 +35,18 @@ stays in L2.  Every target entry of the block's pairs is then one
 gather from the scratch: ``dense[slot * n + h] + dist(v, h)``; the
 written cells are reset before the next block.  After the last block
 one segmented ``minimum.reduceat`` over the target runs gives every
-pair's answer.  Pairs are taken in passes of about ``2**20`` target
-entries, which bounds the transient index arrays of large batches.
+pair's answer.  Pairs are taken in passes of about ``2**16`` target
+entries, and each pass frees its int64 label-entry indices as soon as
+it has gathered through them, so a ticket's transient arrays stay
+near 2 MB however large it is (a 4096-pair ``G(2,2)`` ticket took
+8 MB in one pass).  That matters on a serving thread: glibc keeps a
+non-main thread's freed blocks resident in its arena.
+
+Kernel indices are int64.  ``ndarray.take`` with a narrower index
+array first copies the whole index array to ``intp``, and ``a[idx]``
+avoids the copy but gathers about half as fast; so a narrow ``hubs``
+array is only ever used as an index in slices of :data:`_GATHER`
+entries.
 
 :func:`query_row` keeps the one shape the pair kernel does not cover
 cheaply: one source against *every* vertex, a single pass over the
@@ -47,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SENTINELS", "dist_dtype", "query_pairs", "query_row"]
+__all__ = ["SENTINELS", "dist_dtype", "hub_dtype", "query_pairs", "query_row"]
 
 #: Every dist dtype a store may hold, with its "absent" scratch value.
 SENTINELS = {
@@ -61,7 +74,18 @@ SENTINELS = {
 _SCRATCH = 1 << 18
 
 #: Target label entries per pass of the pair kernel.
-_PASS = 1 << 20
+_PASS = 1 << 16
+
+#: Hub ids gathered through per slice when ``hubs`` is the index array.
+_GATHER = 1 << 16
+
+#: Stores of at most this many vertices keep ``uint16`` hub ids.
+_NARROW_HUBS = 1 << 16
+
+
+def hub_dtype(n: int) -> np.dtype:
+    """The hub-id dtype of a store over ``n`` vertices."""
+    return np.dtype(np.uint16 if n <= _NARROW_HUBS else np.int32)
 
 
 def dist_dtype(dists: np.ndarray) -> np.dtype:
@@ -87,7 +111,9 @@ def query_row(offsets, hubs, dists, source: int):
     s0, s1 = offsets[source], offsets[source + 1]
     dense = np.full(n, sentinel, dtype=dists.dtype)
     dense[hubs[s0:s1]] = dists[s0:s1]
-    vals = dense.take(hubs)
+    vals = np.empty(len(hubs), dtype=dists.dtype)
+    for a in range(0, len(hubs), _GATHER):
+        np.take(dense, hubs[a : a + _GATHER], out=vals[a : a + _GATHER])
     vals += dists
     lens = np.diff(offsets)
     nz = lens > 0
@@ -143,30 +169,39 @@ def _pass(offsets, hubs, dists, sources, slots, targets, tlens, scratch,
     first, last = int(slots[0]), int(slots[-1]) + 1
     block_sources = sources[first:last]
     slens = offsets[block_sources + 1] - offsets[block_sources]
+    # Gather through each int64 index array, then free it before the
+    # next one is built: a pass holds at most one of them at a time.
     si, sheads = _runs(offsets[block_sources], slens)
-    ti, theads = _runs(offsets[targets], tlens)
-    if not len(si) or not len(ti):
+    if not len(si):
         return out
+    source_hubs, source_dists = hubs.take(si), dists.take(si)
+    del si
+    ti, theads = _runs(offsets[targets], tlens)
+    if not len(ti):
+        return out
+    target_hubs, target_dists = hubs.take(ti), dists.take(ti)
+    del ti
     rows = np.arange(first, last) % per_block * n
     cells = np.repeat(rows, slens)
-    cells += hubs.take(si)
-    source_dists = dists.take(si)
+    cells += source_hubs
+    del source_hubs
     keys = np.repeat(rows[slots - first], tlens)
-    keys += hubs.take(ti)
-    vals = np.empty(len(ti), dtype=dists.dtype)
+    keys += target_hubs
+    del target_hubs
+    vals = np.empty(len(keys), dtype=dists.dtype)
     block_starts = np.arange(
         (first // per_block + 1) * per_block, last, per_block
     )
     ecut = theads[np.searchsorted(slots, block_starts)].tolist()
     scut = sheads[block_starts - first].tolist()
-    ecut = [0, *ecut, len(ti)]
-    scut = [0, *scut, len(si)]
+    ecut = [0, *ecut, len(keys)]
+    scut = [0, *scut, len(cells)]
     for e0, e1, s0, s1 in zip(ecut, ecut[1:], scut, scut[1:]):
         block_cells = cells[s0:s1]
         scratch[block_cells] = source_dists[s0:s1]
         np.take(scratch, keys[e0:e1], out=vals[e0:e1], mode="clip")
         scratch[block_cells] = sentinel
-    vals += dists.take(ti)
+    vals += target_dists
     nz = tlens > 0
     out[nz] = np.minimum.reduceat(vals, theads[:-1][nz])
     return out

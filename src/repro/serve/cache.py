@@ -43,8 +43,9 @@ def labeling_digest(store) -> str:
     Accepts either label store (:class:`~repro.core.hublabel.HubLabeling`
     dicts or :class:`~repro.perf.flat.FlatHubLabeling` arrays) and
     hashes the same canonical byte stream for both: the store's
-    version-3 triple -- int64 offsets, int32 hubs ascending per run, and
-    the distances in their narrowest exact tier, tagged by dtype.  A
+    version-4 triple -- int64 offsets, hubs ascending per run in the
+    hub tier of ``n``, and the distances in their narrowest exact tier,
+    the two tiers tagged by dtype.  A
     dict store is frozen into that triple first, so a dict store, its
     flat freeze and an ``mmap`` or shared-memory view of the same
     labeling share one digest, mirroring their byte-identical query
@@ -57,7 +58,9 @@ def labeling_digest(store) -> str:
         store = FlatHubLabeling.from_labeling(store)
     offsets, hubs, dists = store.arrays()
     hasher = hashlib.sha256()
-    hasher.update(f"csr3:n{store.num_vertices}:{dists.dtype.str}:".encode())
+    hasher.update(
+        f"csr4:n{store.num_vertices}:{hubs.dtype.str}:{dists.dtype.str}:".encode()
+    )
     for values in (offsets, hubs, dists):
         hasher.update(memoryview(values))
     return hasher.hexdigest()

@@ -280,7 +280,7 @@ class ShardedQueryServer:
     :class:`~repro.perf.flat.FlatHubLabeling`; whatever it is, the flat
     store is extracted once and shared with every worker zero-copy --
     through a fresh shared-memory segment by default, or through an
-    ``mmap`` of ``artifact_path`` (a cached v3 envelope, e.g. from
+    ``mmap`` of ``artifact_path`` (a cached v4 envelope, e.g. from
     :class:`~repro.perf.cache.LabelCache`) when given.
 
     ``max_queue`` bounds in-flight pairs fleet-wide (admission mirrors

@@ -21,6 +21,7 @@ from repro.graphs import (
     random_tree,
     random_weighted_graph,
 )
+from repro.graphs.traversal import INF
 
 
 def labelings_equal(a: HubLabeling, b: HubLabeling) -> bool:
@@ -149,7 +150,7 @@ class TestFlatArtifact:
 
 class TestV2Artifact:
     """A version-2 artifact written by an earlier release (int64 hubs,
-    float64 distances) loads one way into the version-3 layout."""
+    float64 distances) loads one way into the version-4 layout."""
 
     FIXTURE = pathlib.Path(__file__).parent / "data" / "flat_labels_v2.rhl"
 
@@ -174,13 +175,13 @@ class TestV2Artifact:
         pairs = [(u, v) for u in range(24) for v in range(24)]
         expected = [(type(d), d) for d in (reference.query(u, v) for u, v in pairs)]
         flat = flat_labeling_from_bytes(blob)
-        assert [a.dtype.name for a in flat.arrays()] == ["int64", "int32", "uint16"]
+        assert [a.dtype.name for a in flat.arrays()] == ["int64", "uint16", "uint16"]
         assert [(type(d), d) for d in flat.batch_query(pairs)] == expected
         assert [(type(d), d) for d in (flat.query(u, v) for u, v in pairs)] == expected
         thawed = labeling_from_bytes(blob)
         assert [(type(d), d) for d in (thawed.query(u, v) for u, v in pairs)] == expected
 
-    def test_cannot_be_mapped_and_resaves_as_v3(self):
+    def test_cannot_be_mapped_and_resaves_as_v4(self):
         from repro.core.io import (
             flat_labeling_from_bytes,
             flat_labeling_to_bytes,
@@ -192,12 +193,74 @@ class TestV2Artifact:
         with pytest.raises(ArtifactCorruptError, match="version 2"):
             flat_labeling_view(blob)
         resaved = flat_labeling_to_bytes(flat_labeling_from_bytes(blob))
-        assert resaved[4] == 3
+        assert resaved[4] == 4
         assert len(resaved) < len(blob)
         view = flat_labeling_view(resaved, verify_crc=True, validate=True)
         reference = self._reference()
         for v in range(24):
             assert view.hubs(v) == reference.hubs(v)
+
+
+class TestV3Artifact:
+    """A version-3 artifact written by the previous release (int32 hubs
+    at every ``n``) loads one way, its hubs narrowed into the version-4
+    hub tier, and answers exactly as that release did."""
+
+    FIXTURE = pathlib.Path(__file__).parent / "data" / "flat_labels_v3.rhl"
+    N = 29
+
+    @classmethod
+    def _graph(cls):
+        # The graph the fixture was built from: two trees, so pairs
+        # across them are INF; 87 entries, so the int32 hubs end on a
+        # padding word.
+        graph = Graph(cls.N)
+        for offset, size, seed in ((0, 17, 7), (17, 12, 8)):
+            for u, v, w in random_tree(size, seed=seed).edges():
+                graph.add_edge(offset + u, offset + v, w)
+        return graph
+
+    def _pairs_and_expected(self):
+        reference = pruned_landmark_labeling(self._graph())
+        pairs = [(u, v) for u in range(self.N) for v in range(self.N)]
+        return pairs, [(type(d), d) for d in (reference.query(u, v) for u, v in pairs)]
+
+    def test_loads_answer_identical(self):
+        from repro.core.io import flat_labeling_from_bytes
+
+        blob = self.FIXTURE.read_bytes()
+        assert blob[4] == 3
+        pairs, expected = self._pairs_and_expected()
+        flat = flat_labeling_from_bytes(blob)
+        assert [a.dtype.name for a in flat.arrays()] == ["int64", "uint16", "uint16"]
+        assert flat.total_size() == 87
+        assert [(type(d), d) for d in flat.batch_query(pairs)] == expected
+        assert [(type(d), d) for d in (flat.query(u, v) for u, v in pairs)] == expected
+        assert flat.query(0, 9) == 7 and flat.query(0, 20) == INF
+        thawed = labeling_from_bytes(blob)
+        assert [(type(d), d) for d in (thawed.query(u, v) for u, v in pairs)] == expected
+        for v in range(self.N):
+            assert flat.hubs(v) == thawed.hubs(v)
+
+    def test_cannot_be_mapped_and_resaves_as_v4(self):
+        from repro.core.io import (
+            flat_labeling_from_bytes,
+            flat_labeling_to_bytes,
+            flat_labeling_view,
+        )
+        from repro.runtime.errors import ArtifactCorruptError
+
+        blob = self.FIXTURE.read_bytes()
+        with pytest.raises(ArtifactCorruptError, match="version 3"):
+            flat_labeling_view(blob)
+        flat = flat_labeling_from_bytes(blob)
+        resaved = flat_labeling_to_bytes(flat)
+        assert resaved[4] == 4
+        # 87 two-byte hubs pad to 176 bytes; as int32 they took 352.
+        assert len(blob) - len(resaved) == 352 - 176
+        view = flat_labeling_view(resaved, verify_crc=True, validate=True)
+        for v in range(self.N):
+            assert view.hubs(v) == flat.hubs(v)
 
 
 class TestEdgeList:

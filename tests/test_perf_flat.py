@@ -11,6 +11,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import HubLabeling, pruned_landmark_labeling
 from repro.core.fastquery import SortedHubIndex
+from repro.core.orders import degree_order
 from repro.core.io import (
     flat_labeling_from_bytes,
     flat_labeling_to_bytes,
@@ -237,7 +239,7 @@ class TestBatchEquality:
         _, flat = connected_case
         offsets, hubs, dists = flat.arrays()
         assert (offsets.dtype.name, hubs.dtype.name, dists.dtype.name) == (
-            "int64", "int32", "uint16",
+            "int64", "uint16", "uint16",
         )
         assert len(offsets) == flat.num_vertices + 1
         assert len(hubs) == len(dists) == flat.total_size()
@@ -273,7 +275,7 @@ class TestDistTiers:
     def test_integral_labels_take_uint16(self, connected_case):
         _, flat = connected_case
         assert flat.arrays()[2].dtype.name == "uint16"
-        assert flat.space_bytes() == 8 * (flat.num_vertices + 1) + 6 * flat.total_size()
+        assert flat.space_bytes() == 8 * (flat.num_vertices + 1) + 4 * flat.total_size()
 
     def test_fractional_distances_take_float64(self):
         lab = HubLabeling(2)
@@ -399,11 +401,22 @@ def _tiered_labelings(draw):
 
 class TestTierBoundaries:
     @settings(max_examples=80, deadline=None)
-    @given(case=_tiered_labelings())
-    def test_every_door_matches_the_dict_store(self, case):
+    @given(case=_tiered_labelings(), narrow=st.booleans())
+    def test_every_door_matches_the_dict_store(self, case, narrow):
         labeling, source, targets = case
         n = labeling.num_vertices
+        with pytest.MonkeyPatch.context() as mp:
+            # The hub tier's limit sits exactly at n (uint16 hubs) or
+            # just below it (int32 hubs), so tiny labelings take both.
+            mp.setattr(kernels, "_NARROW_HUBS", n if narrow else n - 1)
+            self._check_doors(labeling, source, targets, narrow)
+
+    @staticmethod
+    def _check_doors(labeling, source, targets, narrow):
+        n = labeling.num_vertices
         flat = FlatHubLabeling.from_labeling(labeling)
+        hub_tier = "uint16" if narrow else "int32"
+        assert flat.arrays()[1].dtype.name == hub_tier
         pairs = _all_pairs(n)
         expected = [labeling.query(u, v) for u, v in pairs]
         row = [labeling.query(source, v) for v in range(n)]
@@ -416,11 +429,70 @@ class TestTierBoundaries:
         assert flat.distance_row(source).tolist() == [float(d) for d in row]
         for v in range(n):
             assert flat.hubs(v) == labeling.hubs(v)
-        # Envelope v3 keeps the tier, with odd and even entry counts.
+        # Envelope v4 keeps both tiers, with odd and even entry counts.
         blob = flat_labeling_to_bytes(flat)
+        assert blob[4] == 4 and blob[26] == (2 if narrow else 4)
         for back in (flat_labeling_from_bytes(blob), flat_labeling_view(blob)):
+            assert back.arrays()[1].dtype.name == hub_tier
             assert back.arrays()[2].dtype == flat.arrays()[2].dtype
             assert _typed(back.batch_query(pairs)) == _typed(expected)
+            assert _typed(back.batch_query_from(source)) == _typed(row)
+
+
+class TestHubTierProducers:
+    """Every producer emits the hub tier of ``n`` directly, and every
+    zero-copy source adopts it."""
+
+    @pytest.mark.parametrize("narrow", [True, False])
+    def test_tier_through_every_producer(self, narrow, tmp_path):
+        from repro.dynamic import DynamicHubLabeling
+        from repro.perf.shm import MappedLabelStore, SharedLabelStore
+
+        graph = random_sparse_graph(30, seed=5)
+        n = graph.num_vertices
+        order = degree_order(graph)
+        hub_tier = "uint16" if narrow else "int32"
+        pairs = _all_pairs(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_NARROW_HUBS", n if narrow else n - 1)
+            built = build_flat_labels(graph, order)
+            assert built.arrays()[1].dtype.name == hub_tier
+            dyn = DynamicHubLabeling(
+                graph, order=order, rebuild_fraction=1.0, staleness_budget=1e9
+            )
+            u, v = next(
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if not graph.has_edge(u, v)
+            )
+            dyn.insert_edge(u, v)
+            dyn.delete_edge(*next(iter(graph.edges()))[:2])
+            spliced = dyn.flat()
+            assert spliced.arrays()[1].dtype.name == hub_tier
+            path = tmp_path / "labels.rhl"
+            path.write_bytes(flat_labeling_to_bytes(spliced))
+            expected = _typed(spliced.batch_query(pairs))
+            with MappedLabelStore(path) as mapped, SharedLabelStore.create(
+                spliced
+            ) as shared:
+                assert [
+                    (s.arrays()[1].dtype.name, _typed(s.batch_query(pairs)))
+                    for s in (mapped.flat, shared.flat)
+                ] == [(hub_tier, expected)] * 2
+        rebuilt = build_flat_labels(dyn.graph, order)
+        assert [spliced.hubs(x) for x in range(n)] == [
+            rebuilt.hubs(x) for x in range(n)
+        ]
+
+    def test_width_that_does_not_match_n_is_corrupt(self):
+        from repro.runtime.errors import ArtifactCorruptError
+
+        flat = build_flat_labels(random_sparse_graph(12, seed=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_NARROW_HUBS", 0)
+            blob = flat_labeling_to_bytes(FlatHubLabeling(*flat.arrays()))
+        assert blob[26] == 4
+        with pytest.raises(ArtifactCorruptError, match="hub width 4"):
+            flat_labeling_view(blob)
 
 
 class TestScatteredPairKernel:
@@ -443,6 +515,30 @@ class TestScatteredPairKernel:
             row = flat.batch_query_from(root, targets)
         assert _typed(got) == _typed([labeling.query(u, v) for u, v in pairs])
         assert _typed(row) == _typed([labeling.query(root, t) for t in targets])
+
+
+class TestKernelTransients:
+    def test_4096_pair_ticket_peak_is_bounded_by_one_pass(self):
+        # A pass gathers through one int64 index array at a time and
+        # frees it, so a ticket's transients are the block scratch, a
+        # few per-pair arrays and about 24 bytes per target entry of
+        # one pass.
+        flat = build_flat_labels(build_degree3_instance(2, 1).graph)
+        offsets = flat.arrays()[0]
+        n = flat.num_vertices
+        rng = np.random.default_rng(7)
+        us, vs = rng.integers(0, n, 4096), rng.integers(0, n, 4096)
+        assert int((offsets[vs + 1] - offsets[vs]).sum()) > kernels._PASS
+        tracemalloc.start()
+        try:
+            best = kernels.query_pairs(*flat.arrays(), us, vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = min(len(np.unique(us)), kernels._SCRATCH // n) * n * 2
+        assert peak <= scratch + 24 * (1 << 16) + 128 * len(us)
+        expected = [flat.query(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+        assert _typed(flat._answers(best)) == _typed(expected)
 
 
 class TestAddHubRegression:

@@ -178,7 +178,7 @@ class TestLabelingDigest:
     def test_every_view_of_one_labeling_shares_digest(
         self, served_labeling, tmp_path
     ):
-        # The generation token hashes the version-3 triple, so a dict
+        # The generation token hashes the version-4 triple, so a dict
         # store, its flat freeze, an mmap view and a shm view agree.
         from repro.core.io import flat_labeling_to_bytes
         from repro.perf.shm import MappedLabelStore, SharedLabelStore
