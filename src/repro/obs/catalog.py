@@ -193,7 +193,8 @@ _SPECS = (
     MetricSpec(
         SERVE_REQUESTS, "counter", (),
         "per pair accepted by QueryServer.submit / submit_batch "
-        "(cache hits included; overload rejections are not)",
+        "(cache hits included; overload rejections are not); read "
+        "from the same books as ServerStats.requests",
     ),
     MetricSpec(
         SERVE_REQUEST_LATENCY_SECONDS, "histogram", (),
@@ -203,13 +204,15 @@ _SPECS = (
     ),
     MetricSpec(
         SERVE_QUEUE_DEPTH, "gauge", (),
-        "queued pairs across every admission shard, updated on every "
-        "enqueue and flush",
+        "queued pairs across every admission shard, sampled when a "
+        "dispatcher drains work (the backlog it found) and when a "
+        "submit is refused; never on an ordinary submit",
     ),
     MetricSpec(
         SERVE_SHARD_DEPTH, "gauge", ("shard",),
-        "queued pairs in one admission shard, updated when that shard "
-        "admits (shard = stripe index)",
+        "queued pairs in one admission shard (shard = stripe index), "
+        "sampled when its dispatcher drains work (the backlog it found) "
+        "and when a submit is refused",
     ),
     MetricSpec(
         SERVE_BATCHES, "counter", (),

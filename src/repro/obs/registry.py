@@ -63,6 +63,9 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
+#: Serializes :meth:`Counter.feed` (rare: once per owner and registry).
+_feed_lock = threading.Lock()
+
 
 def _label_key(labels: Dict[str, str]) -> LabelItems:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -84,12 +87,16 @@ class Counter:
     still exact, and as cheap as a bare attribute bump.  A cell must
     never be shared across threads.
 
+    A component that keeps its own per-thread tallies can :meth:`feed`
+    them to a counter instead of bumping it: the counter then reads
+    those cells as well, so one bump counts in both places.
+
     Assigning :attr:`value` directly (``counter.value = 7``,
     ``counter.value += 2``) resets the shards and is legal only on
     single-threaded paths -- tests and legacy call sites.
     """
 
-    __slots__ = ("name", "labels", "_cells", "_base")
+    __slots__ = ("name", "labels", "_cells", "_base", "_feeds")
     kind = "counter"
 
     def __init__(self, name: str, labels: LabelItems) -> None:
@@ -97,6 +104,10 @@ class Counter:
         self.labels = labels
         self._cells: Dict[int, List[int]] = {}
         self._base = 0
+        # (cells, slot) pairs summed by value; the first is our own.
+        self._feeds: Tuple[Tuple[Dict[int, List[int]], int], ...] = (
+            (self._cells, 0),
+        )
 
     def cell(self) -> List[int]:
         """The calling thread's count cell (created on first use)."""
@@ -112,12 +123,26 @@ class Counter:
             raise ValueError("counters only go up")
         self.cell()[0] += amount
 
+    def feed(self, cells: Dict[int, List[int]], slot: int) -> None:
+        """Also count ``cell[slot]`` of every cell in ``cells`` (a
+        thread-ident -> list map its owner bumps one thread per cell).
+
+        Idempotent per ``cells`` object.  The counter keeps the map, so
+        the counts stay in after their owner is gone.
+        """
+        with _feed_lock:  # owners bind from several threads at once
+            if not any(fed is cells for fed, _ in self._feeds):
+                self._feeds = self._feeds + ((cells, slot),)
+
     @property
     def value(self) -> int:
-        base = self._base
         while True:
             try:
-                return base + sum(cell[0] for cell in self._cells.values())
+                return self._base + sum(
+                    cell[slot]
+                    for cells, slot in self._feeds
+                    for cell in cells.values()
+                )
             except RuntimeError:
                 # A new thread registered its cell mid-sum; retry (the
                 # sum is only exact after writers are joined anyway).
@@ -126,7 +151,8 @@ class Counter:
     @value.setter
     def value(self, total: int) -> None:
         self._cells.clear()
-        self._base = total
+        self._base = 0
+        self._base = total - self.value
 
     def snapshot(self) -> Dict[str, object]:
         return {

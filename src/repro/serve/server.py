@@ -6,42 +6,43 @@ the bridge: a thread-based server that accepts a stream of concurrent
 requests and turns them into the shapes the oracles are fast at, while
 degrading *predictably* -- never silently -- under load.
 
-Two front doors feed one pipeline, and both speak in
-:class:`BatchTicket` s:
+Two front doors feed one pipeline:
 
 * :meth:`QueryServer.submit` -- one ``(u, v)`` pair, one
-  ``concurrent.futures.Future``.  The pair becomes a width-1 ticket on
-  a scalar path (a packed key, one cache ``get``, no numpy call) whose
-  completion resolves the future.
+  ``concurrent.futures.Future``.  The future itself is what queues: it
+  carries the pair's packed key, probes the cache with one ``get`` and
+  is admitted directly, with no ticket, no per-pair lists and no numpy
+  call.  Pair futures share one condition per submitting thread (see
+  :class:`_PairFuture`), so a submit builds no lock.
 * :meth:`QueryServer.submit_batch` -- whole ``us`` / ``vs`` pair
-  arrays, one ticket.  The batch is deduplicated and cache-probed
-  *vectorized* at submit time, travels the admission path as a single
-  item, and completes one future -- results scatter back through a
-  fancy-indexed inverse map.  This is the fast path ``run_loadgen``,
-  the CLIs, and the serving benchmarks use.
+  arrays, one :class:`BatchTicket`.  The batch is deduplicated and
+  cache-probed *vectorized* at submit time, travels the admission path
+  as a single item, and completes one future -- results scatter back
+  through a fancy-indexed inverse map.  This is the fast path
+  ``run_loadgen``, the CLIs, and the serving benchmarks use.
 
 The pipeline, item by item:
 
-1. **Admission** -- one enqueue helper serves both doors: cache probe,
-   admission, overload, and the books.  The bounded queue is
-   *sharded*: ``shards`` striped deques, each with its own lock and
-   capacity slice of ``max_queue``, and per-thread shard affinity so
-   concurrent clients rarely contend on the same lock.  When every
-   shard is full the submit is rejected with
-   :class:`~repro.runtime.errors.ServerOverloadError` (backpressure --
-   the caller backs off, nothing is dropped silently).  Tickets the
-   cache answers completely resolve inline and never enqueue.
+1. **Admission** -- the bounded queue is *sharded*: ``shards`` striped
+   lists, each with its own lock and capacity slice of ``max_queue``,
+   and per-thread shard affinity so concurrent clients rarely contend
+   on the same lock.  When every shard is full the submit is rejected
+   with :class:`~repro.runtime.errors.ServerOverloadError`
+   (backpressure -- the caller backs off, nothing is dropped
+   silently).  Requests the cache answers completely resolve inline
+   and never enqueue.
 2. **Dispatch** -- ``dispatchers`` threads (default one) partition the
    shards and drain everything queued on them.  The pairs the oracle
-   must answer, across every drained ticket, are merged into one
-   dedup and one ``batch_query`` call.  There is no size or deadline
-   trigger: whatever arrived while the last call ran is the next
-   group.  If the merged call raises, the tickets are retried one by
-   one, so a bad width-1 ticket fails only its own future (and a
-   ``submit_batch`` ticket fails as a whole).
-3. **Completion** -- answers scatter back per ticket and are cached in
-   bulk (``put_many``) under the generation captured with the oracle,
-   so a swap mid-flight can never publish stale entries.
+   must answer, across every drained item, are merged into one dedup
+   and one ``batch_query`` call.  There is no size or deadline trigger:
+   whatever arrived while the last call ran is the next group.  If the
+   merged call raises, the items are retried one by one, so a bad pair
+   fails only its own future (and a ``submit_batch`` ticket fails as a
+   whole).
+3. **Completion** -- answers are cached in bulk (``put_many``) under
+   the generation captured with the oracle, so a swap mid-flight can
+   never publish stale entries; then each pair future is resolved
+   straight from the merged answers and each ticket gets its slice.
 4. **Shutdown** -- :meth:`stop` (or leaving the context manager) stops
    admissions, then *drains*: everything already accepted is served
    before the dispatchers exit.  ``drain=False`` cancels the backlog
@@ -57,23 +58,35 @@ naming the swap (class name + swap number, never a pass over the
 labels) and cache keys are packed integers ``u * n + v`` --
 cheap to compute vectorized and cheap to hash.  A submit reads ``n``
 and the generation as one pair and probes the cache under that
-generation (a swap since then makes it a miss); each ticket remembers
-its ``n``, and the dispatcher merges and caches only tickets keyed like
-the current oracle.
+generation (a swap since then makes it a miss); each queued item
+remembers its ``n``, and the dispatcher merges and caches only items
+keyed like the current oracle.
 
-Metrics (``serve.*`` in ``repro.obs.catalog``): request / overload /
-cache / batch-submission counters, queue-depth and per-shard depth
-gauges, a coalesce-width histogram, and a submit-to-response latency
-histogram (one observation per dispatched group).
+One set of books: every tally is counted once, in per-thread cells
+that only their own thread bumps (no lock).  :meth:`QueryServer.stats`
+sums them, and the ``serve.*`` counters of ``repro.obs.catalog`` are
+fed the same cells (:meth:`~repro.obs.registry.Counter.feed`), so the
+two always agree.  The queue-depth gauges are sampled when a
+dispatcher drains its shards and when a submit is refused, never on an
+ordinary submit; a coalesce-width histogram and a submit-to-response
+latency histogram take one observation per dispatched group.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future, InvalidStateError
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures._base import (
+    CANCELLED,
+    CANCELLED_AND_NOTIFIED,
+    FINISHED,
+    PENDING,
+)
 from dataclasses import dataclass
-from time import perf_counter
+from math import inf
+from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,6 +127,141 @@ WIDTH_BUCKETS: Tuple[float, ...] = (
 #: ``max_queue`` so every shard keeps a positive capacity slice).
 DEFAULT_SHARDS = 4
 
+#: The slots of a books cell; the first eight are ServerStats' fields.
+_STATS_FIELDS = (
+    "requests", "responses", "errors", "cancelled",
+    "cache_hits", "overloads", "batches", "coalesced",
+)
+(
+    _REQUESTS, _RESPONSES, _ERRORS, _CANCELLED,
+    _CACHE_HITS, _OVERLOADS, _BATCHES, _COALESCED,
+    _CACHE_MISSES, _BATCH_SUBMISSIONS,
+) = range(10)
+_SLOTS = 10
+
+#: The ``serve.*`` counters and the books slot each one reads.
+_FED_COUNTERS = (
+    (SERVE_REQUESTS, _REQUESTS),
+    (SERVE_CACHE_HITS, _CACHE_HITS),
+    (SERVE_CACHE_MISSES, _CACHE_MISSES),
+    (SERVE_OVERLOADS, _OVERLOADS),
+    (SERVE_BATCHES, _BATCHES),
+    (SERVE_BATCH_SUBMISSIONS, _BATCH_SUBMISSIONS),
+)
+
+
+class _Books:
+    """The server's tallies: one list of ``_SLOTS`` counts per thread.
+
+    A thread bumps only its own cell, without a lock; readers sum the
+    cells, exactly once the writers are quiet.  A thread id reused
+    after its thread died takes over the dead thread's cell.
+    """
+
+    __slots__ = ("cells",)
+
+    def __init__(self) -> None:
+        self.cells: Dict[int, List[int]] = {}
+
+    def cell(self) -> List[int]:
+        """The calling thread's cell (created on first use)."""
+        ident = threading.get_ident()
+        found = self.cells.get(ident)
+        if found is None:
+            # Only this thread inserts this key: no lock needed.
+            found = self.cells[ident] = [0] * _SLOTS
+        return found
+
+    def totals(self) -> List[int]:
+        while True:
+            try:
+                cells = list(self.cells.values())
+            except RuntimeError:
+                continue  # a thread registered its cell mid-copy
+            return [sum(cell[slot] for cell in cells) for slot in range(_SLOTS)]
+
+
+#: The one lock under every pair future's condition, in every server.
+#: ``concurrent.futures.wait`` / ``as_completed`` take the conditions of
+#: all their futures in ``id`` order; with one lock (re-entrant) under
+#: all of them, two such waits can never take ours in conflicting order.
+_FUTURE_LOCK = threading.RLock()
+_DONE_STATES = (CANCELLED, CANCELLED_AND_NOTIFIED, FINISHED)
+
+
+class _PairFuture(Future):
+    """The future :meth:`QueryServer.submit` returns, and what queues.
+
+    A stdlib ``Future`` builds a ``Condition`` and an ``RLock`` per
+    instance.  A pair future instead shares one condition with every
+    pair its thread submits to the same server, so a notify on it may
+    be for a sibling: :meth:`result`
+    and :meth:`exception` wait in a loop until *this* future is done or
+    their own deadline has passed.  Everything else -- ``done``,
+    ``cancel``, callbacks, ``concurrent.futures.wait`` and
+    ``as_completed`` -- is the stdlib's, running on the shared
+    condition.  Any thread may wait on any pair future.
+
+    ``_key`` is the pair's cache key, packed ``u * _base + v`` or the
+    ``(u, v)`` tuple when ``_base`` is None.
+    """
+
+    def __init__(self, condition: threading.Condition, key, base) -> None:
+        # Future.__init__'s attributes (a test pins the set), with a
+        # shared condition in place of a fresh one.
+        self._condition = condition
+        self._state = PENDING
+        self._result = None
+        self._exception = None
+        self._waiters = []
+        self._done_callbacks = []
+        self._key = key
+        self._base = base
+
+    def _pair(self) -> Tuple[int, int]:
+        if self._base is None:
+            return self._key
+        return divmod(self._key, self._base)
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        """Wait, holding the condition, until done or past ``timeout``."""
+        if timeout is None:
+            while self._state not in _DONE_STATES:
+                self._condition.wait()
+            return
+        deadline = monotonic() + timeout
+        while self._state not in _DONE_STATES:
+            remaining = deadline - monotonic()
+            if remaining <= 0:
+                return
+            self._condition.wait(remaining)
+
+    def result(self, timeout: Optional[float] = None):
+        if self._state == FINISHED and self._exception is None:
+            return self._result  # set before the state: no lock needed
+        try:
+            with self._condition:
+                self._wait(timeout)
+                if self._state == FINISHED:
+                    if self._exception is not None:
+                        raise self._exception
+                    return self._result
+                if self._state in _DONE_STATES:
+                    raise CancelledError()
+                raise FutureTimeoutError()
+        finally:
+            self = None  # break the cycle through a raised exception
+
+    def exception(self, timeout: Optional[float] = None):
+        with self._condition:
+            self._wait(timeout)
+            if self._state == FINISHED:
+                return self._exception
+            if self._state in _DONE_STATES:
+                raise CancelledError()
+            raise FutureTimeoutError()
+
+
 class BatchTicket:
     """One waitable unit of submitted pairs, backed by one ``Future``.
 
@@ -123,29 +271,24 @@ class BatchTicket:
     oracle failure fails the whole batch (use :meth:`QueryServer.submit`
     when per-pair isolation matters), and a non-draining stop raises
     ``CancelledError``.
-
-    :meth:`QueryServer.submit` wraps each pair in a width-1 ticket (no
-    scatter map) and hands out its future, which resolves to the bare
-    distance.
     """
 
     __slots__ = (
-        "width", "enqueued", "_future",
+        "width", "_future",
         "_base", "_keys", "_pairs", "_values", "_need", "_scatter",
     )
 
     def __init__(self, width, keys, pairs, scatter, base):
         self.width = width
-        self.enqueued = perf_counter()
         self._future: Future = Future()
         self._base = base        # n the keys were packed with (None: tuples)
         self._keys = keys        # cache keys of the pairs still to answer
-        self._pairs = pairs      # those pairs: (m, 2) int64 array or tuples
+        self._pairs = pairs      # those pairs: an (m, 2) int64 array
         # Per unique pair, once the cache answered some of them:
         # _keys[i] answers _values[_need[i]].
         self._values: Optional[List[object]] = None
         self._need: Optional[List[int]] = None
-        self._scatter = scatter  # submission -> unique index; None: width 1
+        self._scatter = scatter  # submission -> unique index
 
     def done(self) -> bool:
         return self._future.done()
@@ -166,7 +309,7 @@ class BatchTicket:
             return self.width
         keys = self._keys
         self._keys = [keys[index] for index in need]
-        self._pairs = self._pairs[need]  # only multi-pair tickets get here
+        self._pairs = self._pairs[need]
         missing = np.zeros(len(found), dtype=bool)
         missing[need] = True
         return self.width - int(np.count_nonzero(missing[self._scatter]))
@@ -180,15 +323,12 @@ class BatchTicket:
         else:
             for index, value in zip(self._need, answers):
                 values[index] = value
-        if self._scatter is None:
-            _resolve(self._future, value=values[0])
-        else:
-            # Fancy-indexed scatter over an object array keeps every
-            # answer's Python type intact (int vs float, inf included).
-            _resolve(
-                self._future,
-                value=np.asarray(values, dtype=object)[self._scatter].tolist(),
-            )
+        # Fancy-indexed scatter over an object array keeps every
+        # answer's Python type intact (int vs float, inf included).
+        _resolve(
+            self._future,
+            value=np.asarray(values, dtype=object)[self._scatter].tolist(),
+        )
 
     def _fail(self, exc: BaseException) -> None:
         _resolve(self._future, exc=exc)
@@ -202,22 +342,24 @@ class BatchTicket:
 
 
 class _Shard:
-    """One admission stripe: a lock, a swap-out list, a pair count."""
+    """One admission stripe: a lock, a swap-out list, a pair count, and
+    when its oldest queued item arrived."""
 
-    __slots__ = ("index", "lock", "items", "pairs", "capacity", "event")
+    __slots__ = ("index", "lock", "items", "pairs", "capacity", "event", "since")
 
     def __init__(self, index: int, capacity: int, event) -> None:
         self.index = index
         self.lock = threading.Lock()
-        self.items: List[BatchTicket] = []
+        self.items: List[object] = []
         self.pairs = 0
         self.capacity = capacity
         self.event = event
+        self.since = 0.0
 
 
 @dataclass(frozen=True)
 class ServerStats:
-    """A consistent snapshot of the server's own tallies.
+    """A snapshot of the server's books.
 
     ``responses`` counts answered pairs (cache hits included) and
     ``cancelled`` the pairs a non-draining stop dropped, so
@@ -227,6 +369,10 @@ class ServerStats:
     -- ``batch_width_p50`` / ``batch_width_p95`` report the width
     *distribution* from the server's own histogram, which a mean alone
     cannot (one giant ticket hides a thousand singleton groups).
+
+    The fields are read without a lock: each is exact once the server
+    is quiet (stopped, or every accepted request answered), and the
+    ``serve.*`` counters read the same numbers.
     """
 
     requests: int = 0
@@ -262,11 +408,16 @@ def _key_base_for(oracle) -> Optional[int]:
     return n if isinstance(n, int) and n > 0 else None
 
 
-def _merge(group: List[BatchTicket], base: Optional[int]):
-    """One dedup over the pairs ``group`` still asks, all keyed with
-    ``base``: ``(keys, pairs, inverse)`` -- the unique keys, their
-    pairs, and each asked pair's index into them."""
-    keys = list(itertools.chain.from_iterable(t._keys for t in group))
+def _merge(
+    futures: List[_PairFuture], tickets: List[BatchTicket], base: Optional[int]
+):
+    """One dedup over the pairs ``futures`` and ``tickets`` still ask,
+    all keyed with ``base``: ``(keys, pairs, inverse)`` -- the unique
+    keys, their pairs, and each asked pair's index into them (the
+    futures' pairs first, then each ticket's in turn)."""
+    keys = [future._key for future in futures]
+    for ticket in tickets:
+        keys.extend(ticket._keys)
     if base is None:
         # Tuple keys are the pairs themselves.
         unique = list(dict.fromkeys(keys))
@@ -363,17 +514,7 @@ class QueryServer:
         self._drain_requested = True
         self._threads: Optional[List[threading.Thread]] = None
         self._lifecycle = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self._stats: Dict[str, int] = {
-            "requests": 0,
-            "responses": 0,
-            "errors": 0,
-            "cancelled": 0,
-            "cache_hits": 0,
-            "overloads": 0,
-            "batches": 0,
-            "coalesced": 0,
-        }
+        self._books = _Books()
         self._width_hist = Histogram(SERVE_COALESCE_WIDTH, (), WIDTH_BUCKETS)
         self._obs_registry = None
         self._obs: Optional["_ServeInstruments"] = None
@@ -423,10 +564,10 @@ class QueryServer:
                 self._stopping = False
             # Catch submits that raced the accepting flag: with the
             # dispatchers gone, serve (or cancel) them inline.
-            leftovers = self._take(self._shards)
+            leftovers, oldest = self._take(self._shards)
             if leftovers:
                 if drain:
-                    self._serve(leftovers)
+                    self._serve(leftovers, oldest)
                 else:
                     self._cancel(leftovers)
 
@@ -443,34 +584,55 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _shard_for_thread(self) -> _Shard:
+    def _slot(self) -> Tuple[_Shard, List[int], threading.Condition]:
+        """The calling thread's home shard, books cell, and the
+        condition its pair futures share."""
         try:
-            return self._local.shard
+            return self._local.slot
         except AttributeError:
-            shard = self._shards[next(self._spin) % self.shards]
-            self._local.shard = shard
-            return shard
+            slot = (
+                self._shards[next(self._spin) % self.shards],
+                self._books.cell(),
+                threading.Condition(_FUTURE_LOCK),
+            )
+            self._local.slot = slot
+            return slot
 
-    def _admit(self, item: BatchTicket, pairs: int) -> Optional[_Shard]:
-        """Enqueue ``item`` (``pairs`` queued pairs) on the caller's
-        home shard, overflowing to the other stripes when it is full --
-        a submit is rejected only when *every* shard is at capacity, so
-        total admission capacity stays ``max_queue`` under any client
-        mix (a single bursty client is not confined to one stripe).
+    def _admit(self, item, pairs: int, home: _Shard) -> bool:
+        """Enqueue ``item`` (``pairs`` queued pairs) on ``home``,
+        overflowing to the other stripes when it is full -- a submit is
+        rejected only when *every* shard is at capacity, so total
+        admission capacity stays ``max_queue`` under any client mix (a
+        single bursty client is not confined to one stripe).
         """
-        home = self._shard_for_thread().index
         shards = self._shards
         for attempt in range(self.shards):
-            shard = shards[(home + attempt) % self.shards]
+            shard = shards[(home.index + attempt) % self.shards]
             with shard.lock:
                 if shard.pairs < shard.capacity:
+                    if not shard.items:
+                        shard.since = perf_counter()
                     shard.items.append(item)
                     shard.pairs += pairs
                     event = shard.event
                     if not event.is_set():
                         event.set()
-                    return shard
-        return None
+                    return True
+        return False
+
+    def _refuse(self, cell: List[int], what: str) -> ServerOverloadError:
+        """Count an overload, sample the depth gauges, and return the
+        error to raise."""
+        cell[_OVERLOADS] += 1
+        obs = self._bind_obs()
+        if obs is not None:
+            obs.queue_depth.set(self.queue_depth())
+            for shard in self._shards:
+                obs.shard_depth(shard.index).set(shard.pairs)
+        return ServerOverloadError(
+            f"admission queue is full; {what} rejected",
+            capacity=self.max_queue,
+        )
 
     def submit(self, u: int, v: int) -> Future:
         """Enqueue one query; returns a future resolving to its distance.
@@ -483,6 +645,7 @@ class QueryServer:
         """
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
+        home, cell, condition = self._slot()
         base, generation = self._keying
         if base is not None and 0 <= u < base and 0 <= v < base:
             key = u * base + v
@@ -492,9 +655,22 @@ class QueryServer:
             # with packed ones.
             key = (u, v)
             base = None
-        ticket = BatchTicket(1, [key], [(u, v)], None, base)
-        self._enqueue(ticket, generation)
-        return ticket._future
+        future = _PairFuture(condition, key, base)
+        if self._cache_on:
+            value = self._cache.get(key, generation)
+            if value is not MISS:
+                # Nobody else can see the future yet: no lock, no notify.
+                future._result = value
+                future._state = FINISHED
+                cell[_REQUESTS] += 1
+                cell[_CACHE_HITS] += 1
+                cell[_RESPONSES] += 1
+                return future
+        if not self._admit(future, 1, home):
+            raise self._refuse(cell, f"request {(u, v)}")
+        cell[_REQUESTS] += 1
+        cell[_CACHE_MISSES] += 1
+        return future
 
     def submit_batch(self, us, vs) -> BatchTicket:
         """Enqueue a whole pair batch; returns one :class:`BatchTicket`.
@@ -550,7 +726,7 @@ class QueryServer:
     def _enqueue(
         self, ticket: BatchTicket, generation: str, *, inline: bool = False
     ) -> None:
-        """Both doors' shared path: cache probe, then admission (or,
+        """A batch ticket's way in: cache probe, then admission (or,
         with ``inline``, service in the calling thread), overload, and
         the books.  A ticket the cache answers completely resolves here
         and never enqueues.
@@ -559,59 +735,26 @@ class QueryServer:
         the probe misses if a swap has re-keyed the cache since, so a
         key packed for one vertex count never reads another's entry.
         """
-        obs = self._bind_obs()
+        arrived = perf_counter()
+        home, cell, _ = self._slot()
         width = ticket.width
         hits = 0
         if self._cache_on:
-            keys = ticket._keys
-            found = (
-                [self._cache.get(keys[0], generation)]
-                if len(keys) == 1
-                else self._cache.get_many(keys, generation)
-            )
-            hits = ticket._probed(found)
+            hits = ticket._probed(self._cache.get_many(ticket._keys, generation))
         if hits == width:
             ticket._answer(())
-            with self._stats_lock:
-                self._stats["requests"] += width
-                self._stats["cache_hits"] += width
-                self._stats["responses"] += width
-            if obs is not None:
-                obs.requests.inc(width)
-                obs.cache_hits.inc(width)
+            cell[_REQUESTS] += width
+            cell[_CACHE_HITS] += width
+            cell[_RESPONSES] += width
             return
-        shard = None
-        if not inline:
-            shard = self._admit(ticket, len(ticket._keys))
-            if shard is None:
-                with self._stats_lock:
-                    self._stats["overloads"] += 1
-                if obs is not None:
-                    obs.overloads.inc()
-                what = (
-                    f"request {ticket._pairs[0]}"
-                    if ticket._scatter is None
-                    else f"batch of {width} pair(s)"
-                )
-                raise ServerOverloadError(
-                    f"admission queue is full; {what} rejected",
-                    capacity=self.max_queue,
-                )
-        with self._stats_lock:
-            self._stats["requests"] += width
-            self._stats["cache_hits"] += hits
-        if obs is not None:
-            obs.requests.inc(width)
-            if ticket._scatter is not None:
-                obs.batch_submissions.inc()
-            if hits:
-                obs.cache_hits.inc(hits)
-            obs.cache_misses.inc(width - hits)
-            if shard is not None:
-                obs.queue_depth.set(self.queue_depth())
-                obs.shard_depth(shard.index).set(shard.pairs)
+        if not inline and not self._admit(ticket, len(ticket._keys), home):
+            raise self._refuse(cell, f"batch of {width} pair(s)")
+        cell[_REQUESTS] += width
+        cell[_CACHE_HITS] += hits
+        cell[_CACHE_MISSES] += width - hits
+        cell[_BATCH_SUBMISSIONS] += 1
         if inline:
-            self._serve([ticket])
+            self._serve([ticket], arrived)
 
     def query(self, u: int, v: int, timeout: Optional[float] = None):
         """Blocking convenience: submit and wait for the distance."""
@@ -673,13 +816,12 @@ class QueryServer:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> ServerStats:
-        with self._stats_lock:
-            snapshot = dict(self._stats)
+        totals = self._books.totals()
         hist = self._width_hist
         return ServerStats(
+            *totals[: len(_STATS_FIELDS)],
             batch_width_p50=hist.percentile(0.50) or 0.0,
             batch_width_p95=hist.percentile(0.95) or 0.0,
-            **snapshot,
         )
 
     @property
@@ -710,13 +852,13 @@ class QueryServer:
         registry = _get_registry()
         if registry is not self._obs_registry:
             obs = (
-                _ServeInstruments(registry, self.shards)
+                _ServeInstruments(registry, self.shards, self._books)
                 if registry.enabled
                 else None
             )
-            # Publish instruments before the registry marker (submit is
-            # called concurrently; a reader seeing the marker match must
-            # never pick up a stale instrument set).
+            # Publish instruments before the registry marker (binding
+            # runs on several threads; a reader seeing the marker match
+            # must never pick up a stale instrument set).
             self._obs = obs
             self._obs_registry = registry
             return obs
@@ -728,64 +870,93 @@ class QueryServer:
         while True:
             event.clear()
             stopping = self._stopping
-            tickets = self._take(shards)
-            if tickets:
+            items, oldest = self._take(shards)
+            if items:
                 # New work may land while this group is served; the
                 # loop drains it as the next group.
                 if stopping and not self._drain_requested:
-                    self._cancel(tickets)
+                    self._cancel(items)
                 else:
-                    self._serve(tickets)
+                    self._serve(items, oldest)
             elif stopping:
                 return
             else:
                 event.wait()  # park until a submit or stop() wakes us
 
-    @staticmethod
-    def _take(shards: List[_Shard]) -> List[BatchTicket]:
-        items: List[BatchTicket] = []
+    def _take(self, shards: List[_Shard]) -> Tuple[List[object], float]:
+        """Drain ``shards``: their queued items and when the oldest of
+        them arrived.  A drain that finds work samples the depth
+        gauges: each drained shard's backlog, and the queue's."""
+        items: List[object] = []
+        oldest = inf
+        depths = []
         for shard in shards:
             if shard.items:
                 with shard.lock:
                     items.extend(shard.items)
+                    depths.append((shard.index, shard.pairs))
+                    oldest = min(oldest, shard.since)
                     shard.items = []
                     shard.pairs = 0
-        return items
+            else:
+                depths.append((shard.index, 0))
+        if items:
+            obs = self._bind_obs()
+            if obs is not None:
+                drained = 0
+                for index, pairs in depths:
+                    obs.shard_depth(index).set(pairs)
+                    drained += pairs
+                obs.queue_depth.set(drained + self.queue_depth())
+        return items, oldest
 
-    def _cancel(self, tickets: List[BatchTicket]) -> None:
-        for ticket in tickets:
-            ticket._cancel()
-        with self._stats_lock:
-            self._stats["cancelled"] += sum(t.width for t in tickets)
+    def _cancel(self, items: List[object]) -> None:
+        width = 0
+        for item in items:
+            if type(item) is _PairFuture:
+                item.cancel()
+                width += 1
+            else:
+                item._cancel()
+                width += item.width
+        self._books.cell()[_CANCELLED] += width
 
-    def _serve(self, tickets: List[BatchTicket]) -> None:
-        """Answer one drained group and scatter the answers per ticket.
+    def _serve(self, items: List[object], oldest: float) -> None:
+        """Answer one drained group: cache the answers, then resolve
+        each pair future and scatter each ticket's slice.
 
-        Tickets keyed like the current oracle share one dedup and one
+        Items keyed like the current oracle share one dedup and one
         ``batch_query`` call; the rest (keys packed for a swapped-out
-        oracle, out-of-domain tuple keys) and every ticket of a failed
-        merged call are answered one ticket at a time.
+        oracle, out-of-domain tuple keys) and every item of a failed
+        merged call are answered one at a time.
         """
         obs = self._bind_obs()
-        answered: List[Tuple[BatchTicket, object]] = []
-        failed: List[Tuple[BatchTicket, BaseException]] = []
+        futures: List[Tuple[_PairFuture, object]] = []
+        tickets: List[Tuple[BatchTicket, object]] = []
+        failed: List[Tuple[object, BaseException]] = []
         puts: List[Tuple[List[object], object]] = []
+        width = 0
         with self._oracle_lock:
             oracle = self._oracle
             base, generation = self._keying
             arrays = bool(getattr(oracle, "accepts_pair_arrays", False))
-            group: List[BatchTicket] = []
-            alone: List[BatchTicket] = []
-            width = 0
-            for ticket in tickets:
-                width += ticket.width
-                (group if ticket._base == base else alone).append(ticket)
-            if len(group) > 1:
+            pair_group: List[_PairFuture] = []
+            ticket_group: List[BatchTicket] = []
+            alone: List[object] = []
+            for item in items:
+                if type(item) is _PairFuture:
+                    width += 1
+                    group = pair_group
+                else:
+                    width += item.width
+                    group = ticket_group
+                (group if item._base == base else alone).append(item)
+            if len(pair_group) + len(ticket_group) > 1:
                 batch_fn = getattr(oracle, "batch_query", None)
                 try:
-                    keys, pairs, inverse = _merge(group, base)
+                    keys, pairs, inverse = _merge(pair_group, ticket_group, base)
                     pairs = _for_oracle(pairs, arrays)
-                    # A failed merged call goes straight to the per-ticket
+                    # A failed merged call goes straight to the per-item
                     # retry, which owns the scalar fallback.
                     answers = (
                         batch_fn(pairs)
@@ -793,86 +964,99 @@ class QueryServer:
                         else _ask(oracle, pairs)
                     )
                 except Exception:
-                    alone = tickets  # isolate the bad ticket below
+                    alone = items  # isolate the bad item below
                 else:
                     puts.append((keys, answers))
                     ordered = np.asarray(answers, dtype=object)[
                         inverse
                     ].tolist()
-                    offset = 0
-                    for ticket in group:
+                    futures.extend(zip(pair_group, ordered))
+                    offset = len(pair_group)
+                    for ticket in ticket_group:
                         end = offset + len(ticket._keys)
-                        answered.append((ticket, ordered[offset:end]))
+                        tickets.append((ticket, ordered[offset:end]))
                         offset = end
             else:
-                alone = tickets
-            for ticket in alone:
+                alone = items
+            for item in alone:
+                single = type(item) is _PairFuture
                 try:
                     answers = _ask(
-                        oracle, _for_oracle(ticket._pairs, arrays)
+                        oracle,
+                        [item._pair()]
+                        if single
+                        else _for_oracle(item._pairs, arrays),
                     )
                 except Exception as exc:
-                    failed.append((ticket, exc))
+                    failed.append((item, exc))
                     continue
-                answered.append((ticket, answers))
-                if ticket._base == base:
-                    puts.append((ticket._keys, answers))
+                if single:
+                    futures.append((item, answers[0]))
+                    keys = [item._key]
+                else:
+                    tickets.append((item, answers))
+                    keys = item._keys
+                if item._base == base:
+                    puts.append((keys, answers))
         done = perf_counter()
         if self._cache_on:
             for keys, answers in puts:
                 self._cache.put_many(keys, answers, generation)
-        for ticket, answers in answered:
-            ticket._answer(answers)
-        for ticket, exc in failed:
-            ticket._fail(exc)
-        errors = sum(ticket.width for ticket, _ in failed)
+        errors = sum(
+            1 if type(item) is _PairFuture else item.width
+            for item, _ in failed
+        )
+        # The books first: whoever sees an answer sees it counted.
+        cell = self._books.cell()
+        cell[_BATCHES] += 1
+        cell[_COALESCED] += width
+        cell[_RESPONSES] += width - errors
+        cell[_ERRORS] += errors
         self._width_hist.observe(float(width))
-        with self._stats_lock:
-            self._stats["batches"] += 1
-            self._stats["coalesced"] += width
-            self._stats["responses"] += width - errors
-            self._stats["errors"] += errors
+        for future, value in futures:
+            try:
+                future.set_result(value)
+            except InvalidStateError:
+                pass  # cancelled by its caller; nothing to deliver
+        for ticket, answers in tickets:
+            ticket._answer(answers)
+        for item, exc in failed:
+            if type(item) is _PairFuture:
+                _resolve(item, exc=exc)
+            else:
+                item._fail(exc)
         if obs is not None:
-            obs.batches.inc()
             obs.coalesce_width.observe(float(width))
-            obs.queue_depth.set(self.queue_depth())
             # One amortized observation per group: the oldest waiter's
             # submit-to-response time bounds its group-mates'.
-            oldest = min(ticket.enqueued for ticket in tickets)
             obs.request_latency.observe(done - oldest)
 
 
 class _ServeInstruments:
-    """The ``serve.*`` instruments, pre-bound against one registry."""
+    """The ``serve.*`` instruments, pre-bound against one registry.
+
+    The counters are fed the server's books at bind time and need no
+    handle here; what remains is set or observed by the server.
+    """
 
     __slots__ = (
-        "requests",
         "request_latency",
         "queue_depth",
-        "batches",
-        "batch_submissions",
         "coalesce_width",
-        "cache_hits",
-        "cache_misses",
-        "overloads",
         "generation",
         "_shard_gauges",
     )
 
-    def __init__(self, registry, num_shards: int) -> None:
-        self.requests = registry.counter(SERVE_REQUESTS)
+    def __init__(self, registry, num_shards: int, books: _Books) -> None:
+        for name, slot in _FED_COUNTERS:
+            registry.counter(name).feed(books.cells, slot)
         self.request_latency = registry.histogram(
             SERVE_REQUEST_LATENCY_SECONDS
         )
         self.queue_depth = registry.gauge(SERVE_QUEUE_DEPTH)
-        self.batches = registry.counter(SERVE_BATCHES)
-        self.batch_submissions = registry.counter(SERVE_BATCH_SUBMISSIONS)
         self.coalesce_width = registry.histogram(
             SERVE_COALESCE_WIDTH, buckets=WIDTH_BUCKETS
         )
-        self.cache_hits = registry.counter(SERVE_CACHE_HITS)
-        self.cache_misses = registry.counter(SERVE_CACHE_MISSES)
-        self.overloads = registry.counter(SERVE_OVERLOADS)
         self.generation = registry.gauge(SERVE_GENERATION)
         self._shard_gauges = tuple(
             registry.gauge(SERVE_SHARD_DEPTH, shard=str(index))
@@ -890,5 +1074,5 @@ def _resolve(future: Future, value=None, exc=None) -> None:
             future.set_exception(exc)
         else:
             future.set_result(value)
-    except Exception:
+    except InvalidStateError:
         pass  # cancelled by a non-draining stop; nothing to deliver

@@ -12,7 +12,13 @@ import sys
 import threading
 import time
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Future,
+    as_completed,
+    wait,
+)
 
 import pytest
 
@@ -23,8 +29,11 @@ from repro.obs.catalog import (
     SERVE_CACHE_HITS,
     SERVE_CACHE_MISSES,
     SERVE_OVERLOADS,
+    SERVE_QUEUE_DEPTH,
     SERVE_REQUESTS,
+    SERVE_SHARD_DEPTH,
 )
+from repro.obs.registry import NullRegistry, use_registry
 from repro.oracles.oracle import HubLabelOracle
 from repro.perf.flat import FlatHubLabeling
 from repro.runtime import DomainError, ResilientOracle, ServerOverloadError
@@ -913,3 +922,370 @@ class TestLoadgenBatchPath:
         with QueryServer(flat_oracle) as server:
             with pytest.raises(ValueError):
                 run_loadgen(server, 60, batch_size=0)
+
+
+def _held(oracle_cls=_StallOracle, **server_options):
+    """A started server whose dispatcher is held inside the oracle by
+    one plug pair: everything submitted next stays queued until
+    ``oracle.release`` is set."""
+    oracle = oracle_cls()
+    server = QueryServer(oracle, cache_size=0, **server_options)
+    server.start()
+    plug = server.submit(1000, 1000)
+    assert oracle.entered.wait(5)
+    return server, oracle, plug
+
+
+class TestPairFutures:
+    """The future ``submit`` returns: a stdlib ``Future`` subclass that
+    shares one condition per submitting thread."""
+
+    def test_submit_returns_a_stdlib_future(self, flat_oracle):
+        with QueryServer(flat_oracle) as server:
+            cold = server.submit(1, 2)
+            cold.result(timeout=5)
+            warm = server.submit(1, 2)  # a cache hit, resolved at submit
+        for future in (cold, warm):
+            assert isinstance(future, Future)
+            assert future.done() and not future.cancelled()
+        assert warm.result(timeout=0) == cold.result(timeout=0)
+
+    def test_private_attributes_match_future_init(self):
+        # The subclass sets Future.__init__'s attributes itself; a
+        # Python upgrade that changes that set must fail here.
+        server, oracle, plug = _held()
+        try:
+            pending = server.submit(3, 4)
+            plain = vars(Future())
+            mine = vars(pending)
+            assert set(mine) - set(plain) == {"_key", "_base"}
+            assert set(plain) <= set(mine)
+            for name, value in plain.items():
+                assert type(mine[name]) is type(value), name
+                if name != "_condition":
+                    assert mine[name] == value, name
+        finally:
+            oracle.release.set()
+            server.stop()
+        assert pending.result(timeout=5) == 7.0
+
+    def test_siblings_share_the_submitting_threads_condition(self):
+        server, oracle, plug = _held()
+        try:
+            mine = [server.submit(0, v) for v in range(3)]
+            theirs = []
+            thread = threading.Thread(
+                target=lambda: theirs.append(server.submit(5, 5))
+            )
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            oracle.release.set()
+            server.stop()
+        conditions = {id(future._condition) for future in mine}
+        assert len(conditions) == 1
+        assert id(theirs[0]._condition) not in conditions
+
+    def test_wait_and_as_completed_across_submitting_threads(self):
+        server, oracle, plug = _held(max_queue=256)
+        futures = []
+        lock = threading.Lock()
+
+        def client(k):
+            mine = [server.submit(k, v) for v in range(10)]
+            with lock:
+                futures.extend(mine)
+
+        try:
+            threads = [
+                threading.Thread(target=client, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            done, pending = wait(futures, timeout=0.05)
+            assert not done and len(pending) == 40
+            threading.Timer(0.05, oracle.release.set).start()
+            done, pending = wait(futures, timeout=10)
+            assert len(done) == 40 and not pending
+            seen = list(as_completed(futures, timeout=10))
+        finally:
+            oracle.release.set()
+            server.stop()
+        assert sorted(map(id, seen)) == sorted(map(id, futures))
+        assert sorted(f.result() for f in futures) == sorted(
+            float(k + v) for k in range(4) for v in range(10)
+        )
+        first = wait(futures, return_when=FIRST_COMPLETED, timeout=1)[0]
+        assert first
+
+    def test_done_callback_runs_exactly_once(self, flat_oracle):
+        calls = []
+        server, oracle, plug = _held()
+        try:
+            pending = [server.submit(2, v) for v in range(5)]
+            for future in pending:
+                future.add_done_callback(calls.append)
+        finally:
+            oracle.release.set()
+            server.stop()
+        with QueryServer(flat_oracle) as warm_server:
+            warm_server.query(1, 2)
+            hit = warm_server.submit(1, 2)  # resolved: runs at once
+            hit.add_done_callback(calls.append)
+        assert sorted(map(id, calls)) == sorted(map(id, pending + [hit]))
+
+    def test_timeout_waits_out_its_deadline_while_siblings_resolve(self):
+        # Siblings share the target's condition, so every sibling that
+        # completes notifies the target's waiter.  The wait must go on
+        # to its own deadline, not raise TimeoutError at the first
+        # notify.
+        server, oracle, plug = _held()
+        siblings = []
+
+        def resolve(batch):
+            for sibling in batch:
+                time.sleep(0.02)
+                sibling.cancel()  # completes it, and notifies
+
+        try:
+            target = server.submit(7, 7)
+            for method in (target.result, target.exception):
+                batch = [server.submit(8, v) for v in range(12)]
+                siblings += batch
+                assert all(s._condition is target._condition for s in batch)
+                helper = threading.Thread(target=resolve, args=(batch,))
+                helper.start()
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    method(timeout=0.3)
+                waited = time.monotonic() - start
+                helper.join(timeout=10)
+                assert not helper.is_alive()
+                assert waited >= 0.29, waited
+                assert not target.done()
+        finally:
+            oracle.release.set()
+            server.stop()
+        assert target.result(timeout=5) == 14.0
+        assert all(s.cancelled() for s in siblings)
+
+    def test_stop_without_drain_cancels_pair_futures(self):
+        server, oracle, plug = _held()
+        backlog = [server.submit(3, v) for v in range(6)]
+        stopper = threading.Thread(
+            target=server.stop, kwargs={"drain": False}
+        )
+        stopper.start()
+        while server.running:
+            time.sleep(0.001)
+        oracle.release.set()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        assert plug.result(timeout=1) == 2000.0
+        for future in backlog:
+            assert future.cancelled()
+            with pytest.raises(CancelledError):
+                future.result(timeout=0)
+            with pytest.raises(CancelledError):
+                future.exception(timeout=0)
+        assert server.stats().cancelled == 6
+
+    def test_future_awaited_by_a_thread_that_did_not_submit_it(self):
+        server, oracle, plug = _held()
+        futures = []
+        submitter = threading.Thread(
+            target=lambda: futures.extend(
+                server.submit(4, v) for v in range(3)
+            )
+        )
+        submitter.start()
+        submitter.join(timeout=10)
+        assert not submitter.is_alive()
+        got = []
+        waiter = threading.Thread(
+            target=lambda: got.extend(f.result(timeout=10) for f in futures)
+        )
+        try:
+            waiter.start()
+            time.sleep(0.02)
+            assert not got  # still parked on the submitter's condition
+            oracle.release.set()
+            waiter.join(timeout=10)
+        finally:
+            oracle.release.set()
+            server.stop()
+        assert not waiter.is_alive()
+        assert got == [4.0, 5.0, 6.0]
+
+    def test_sixteen_clients_under_a_tiny_switch_interval(
+        self, flat_oracle, ground
+    ):
+        # Each client waits on its own futures three ways, and with
+        # concurrent.futures.wait over its neighbour's futures too, so
+        # waits take conditions of several submitting threads at once.
+        clients = 16
+        published = [None] * clients
+        ready = threading.Barrier(clients)
+        failures = []
+
+        def client(k):
+            try:
+                pairs = [
+                    ((k * 7 + i) % 60, (k * 11 + 3 * i) % 60)
+                    for i in range(60)
+                ]
+                futures = [server.submit(u, v) for u, v in pairs]
+                published[k] = futures
+                ready.wait(timeout=10)
+                neighbour = published[(k + 1) % clients]
+                wait(futures[:20] + neighbour[:20], timeout=10)
+                finished = set(as_completed(futures[20:40], timeout=10))
+                got = [future.result(timeout=10) for future in futures]
+                want = [ground(u, v) for u, v in pairs]
+                if len(finished) != 20 or got != want:
+                    failures.append((k, got, want))
+            except Exception as exc:  # surfaced below
+                failures.append((k, repr(exc)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(flat_oracle, max_queue=4096) as server:
+                threads = [
+                    threading.Thread(target=client, args=(k,))
+                    for k in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not failures, failures[:2]
+        stats = server.stats()
+        assert stats.requests == clients * 60
+        assert stats.requests == stats.responses
+
+
+def _mixed_workload(gated):
+    """Cache hits, misses, an oracle error, an overload refusal and a
+    non-draining cancel, in that order, through one server.  Returns
+    the stopped server and what its books must read."""
+    server = QueryServer(gated, max_queue=5, cache_size=64)
+    server.start()
+    gated.release.set()
+    pairs = [(u, u + 1) for u in range(5)]
+    assert server.batch(pairs, timeout=10) == server.batch(pairs, timeout=10)
+    assert len(server.submit_batch([0, 9], [1, 10]).result(timeout=10)) == 2
+    with pytest.raises(DomainError):
+        server.submit(0, 10_000).result(timeout=10)
+    gated.release.clear()
+    gated.entered.clear()
+    plug = server.submit(20, 21)
+    assert gated.entered.wait(5)
+    backlog = [server.submit(30 + k, 31) for k in range(5)]
+    with pytest.raises(ServerOverloadError):
+        server.submit(40, 41)
+    stopper = threading.Thread(target=server.stop, kwargs={"drain": False})
+    stopper.start()
+    while server.running:
+        time.sleep(0.001)
+    gated.release.set()
+    stopper.join(timeout=10)
+    assert not stopper.is_alive()
+    plug.result(timeout=1)
+    assert all(future.cancelled() for future in backlog)
+    expected = {
+        "requests": 5 + 5 + 2 + 1 + 1 + 5,
+        "cache_hits": 5 + 1,
+        "errors": 1,
+        "overloads": 1,
+        "cancelled": 5,
+    }
+    return server, expected
+
+
+class TestOneSetOfBooks:
+    """``ServerStats`` and the ``serve.*`` counters are one set of books."""
+
+    def test_stats_equal_the_counters_after_a_mixed_workload(
+        self, flat_oracle, metrics_registry
+    ):
+        server, expected = _mixed_workload(_GatedOracle(flat_oracle))
+        stats = server.stats()
+        for field, want in expected.items():
+            assert getattr(stats, field) == want, field
+        assert stats.requests == stats.responses + stats.errors + stats.cancelled
+
+        def counter(name):
+            return metrics_registry.get(name).value
+
+        assert counter(SERVE_REQUESTS) == stats.requests
+        assert counter(SERVE_CACHE_HITS) == stats.cache_hits
+        assert counter(SERVE_OVERLOADS) == stats.overloads
+        assert counter(SERVE_BATCHES) == stats.batches >= 1
+        assert counter(SERVE_CACHE_MISSES) == stats.requests - stats.cache_hits
+
+    def test_stats_stay_exact_under_a_null_registry(self, flat_oracle):
+        with use_registry(NullRegistry()) as null:
+            server, expected = _mixed_workload(_GatedOracle(flat_oracle))
+        stats = server.stats()
+        for field, want in expected.items():
+            assert getattr(stats, field) == want, field
+        assert stats.requests == stats.responses + stats.errors + stats.cancelled
+        assert stats.batches >= 1
+        assert null.get(SERVE_REQUESTS) is None
+
+    def test_a_registry_bound_later_reads_the_whole_books(self, flat_oracle):
+        with use_registry(NullRegistry()):
+            server = QueryServer(flat_oracle).start()
+            server.batch([(1, 2), (1, 2), (3, 4)])
+        with use_registry() as late:
+            server.query(5, 6)  # dispatch binds the current registry
+            server.stop()
+        assert late.get(SERVE_REQUESTS).value == server.stats().requests == 4
+
+
+class TestDepthGauges:
+    """``serve.queue_depth`` / ``serve.shard_depth`` are sampled when a
+    dispatcher drains and when a submit is refused -- not per submit."""
+
+    def test_sampled_on_drain_not_on_submit(self, metrics_registry):
+        server, oracle, plug = _held(shards=1)
+
+        def depth(name, **labels):
+            return metrics_registry.get(name, **labels).value
+
+        try:
+            # The plug's drain sampled a backlog of one pair.
+            assert depth(SERVE_QUEUE_DEPTH) == 1
+            assert depth(SERVE_SHARD_DEPTH, shard="0") == 1
+            for v in range(7):
+                server.submit(2, v)
+            assert server.queue_depth() == 7
+            assert depth(SERVE_QUEUE_DEPTH) == 1  # submits set nothing
+        finally:
+            oracle.release.set()
+            server.stop()
+        assert depth(SERVE_QUEUE_DEPTH) == 7
+        assert depth(SERVE_SHARD_DEPTH, shard="0") == 7
+
+    def test_sampled_on_overload(self, metrics_registry):
+        server, oracle, plug = _held(max_queue=3, shards=3)
+        try:
+            for v in range(3):
+                server.submit(2, v)
+            with pytest.raises(ServerOverloadError):
+                server.submit(2, 9)
+            assert metrics_registry.get(SERVE_QUEUE_DEPTH).value == 3
+            for shard in range(3):
+                gauge = metrics_registry.get(SERVE_SHARD_DEPTH, shard=str(shard))
+                assert gauge.value == 1
+        finally:
+            oracle.release.set()
+            server.stop()
