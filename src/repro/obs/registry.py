@@ -128,7 +128,10 @@ class Counter:
         thread-ident -> list map its owner bumps one thread per cell).
 
         Idempotent per ``cells`` object.  The counter keeps the map, so
-        the counts stay in after their owner is gone.
+        the counts stay in after their owner is gone.  The counter
+        reads the whole map, counts made before this call included, and
+        goes on reading it after its registry stops being the current
+        one: an owner fed to several registries rises in all of them.
         """
         with _feed_lock:  # owners bind from several threads at once
             if not any(fed is cells for fed, _ in self._feeds):

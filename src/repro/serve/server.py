@@ -12,8 +12,9 @@ Two front doors feed one pipeline:
   ``concurrent.futures.Future``.  The future itself is what queues: it
   carries the pair's packed key, probes the cache with one ``get`` and
   is admitted directly, with no ticket, no per-pair lists and no numpy
-  call.  Pair futures share one condition per submitting thread (see
-  :class:`_PairFuture`), so a submit builds no lock.
+  call.  A pair future builds its condition only if someone waits on
+  it while it is pending (see :class:`_PairFuture`), so a submit
+  builds no lock.
 * :meth:`QueryServer.submit_batch` -- whole ``us`` / ``vs`` pair
   arrays, one :class:`BatchTicket`.  The batch is deduplicated and
   cache-probed *vectorized* at submit time, travels the admission path
@@ -76,8 +77,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import CancelledError, Future, InvalidStateError
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, InvalidStateError
 from concurrent.futures._base import (
     CANCELLED,
     CANCELLED_AND_NOTIFIED,
@@ -86,7 +86,7 @@ from concurrent.futures._base import (
 )
 from dataclasses import dataclass
 from math import inf
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -181,35 +181,36 @@ class _Books:
             return [sum(cell[slot] for cell in cells) for slot in range(_SLOTS)]
 
 
-#: The one lock under every pair future's condition, in every server.
-#: ``concurrent.futures.wait`` / ``as_completed`` take the conditions of
-#: all their futures in ``id`` order; with one lock (re-entrant) under
-#: all of them, two such waits can never take ours in conflicting order.
-_FUTURE_LOCK = threading.RLock()
+#: Serializes building a pair future's condition against resolving a
+#: future that has none (see :func:`_settle`).
+_CONDITION_LOCK = threading.Lock()
 _DONE_STATES = (CANCELLED, CANCELLED_AND_NOTIFIED, FINISHED)
 
 
 class _PairFuture(Future):
     """The future :meth:`QueryServer.submit` returns, and what queues.
 
-    A stdlib ``Future`` builds a ``Condition`` and an ``RLock`` per
-    instance.  A pair future instead shares one condition with every
-    pair its thread submits to the same server, so a notify on it may
-    be for a sibling: :meth:`result`
-    and :meth:`exception` wait in a loop until *this* future is done or
-    their own deadline has passed.  Everything else -- ``done``,
-    ``cancel``, callbacks, ``concurrent.futures.wait`` and
-    ``as_completed`` -- is the stdlib's, running on the shared
-    condition.  Any thread may wait on any pair future.
+    A stdlib ``Future`` builds a ``Condition`` and an ``RLock`` in its
+    constructor.  A pair future builds its own condition only when a
+    caller first needs it -- to wait on it while pending, add a
+    callback, cancel it, or pass it to ``concurrent.futures.wait`` /
+    ``as_completed`` -- and most pair futures are answered before
+    anyone asks.  The dispatcher resolves a future that has no
+    condition by setting its fields alone, since no waiter can exist
+    for it (:func:`_settle`).  Each future has its own lock, so
+    ``wait`` and ``as_completed`` take them in their usual ``id``
+    order, and pair futures mix freely with any other futures there.
 
     ``_key`` is the pair's cache key, packed ``u * _base + v`` or the
     ``(u, v)`` tuple when ``_base`` is None.
     """
 
-    def __init__(self, condition: threading.Condition, key, base) -> None:
-        # Future.__init__'s attributes (a test pins the set), with a
-        # shared condition in place of a fresh one.
-        self._condition = condition
+    width = 1  # queued pairs, like BatchTicket.width
+
+    def __init__(self, key, base) -> None:
+        # Future.__init__'s attributes but the condition (a test pins
+        # the set).
+        self._cond: Optional[threading.Condition] = None
         self._state = PENDING
         self._result = None
         self._exception = None
@@ -218,48 +219,60 @@ class _PairFuture(Future):
         self._key = key
         self._base = base
 
+    @property
+    def _condition(self) -> threading.Condition:
+        condition = self._cond
+        if condition is None:
+            with _CONDITION_LOCK:
+                condition = self._cond
+                if condition is None:
+                    condition = self._cond = threading.Condition()
+        return condition
+
     def _pair(self) -> Tuple[int, int]:
         if self._base is None:
             return self._key
         return divmod(self._key, self._base)
 
-    def _wait(self, timeout: Optional[float]) -> None:
-        """Wait, holding the condition, until done or past ``timeout``."""
-        if timeout is None:
-            while self._state not in _DONE_STATES:
-                self._condition.wait()
-            return
-        deadline = monotonic() + timeout
-        while self._state not in _DONE_STATES:
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                return
-            self._condition.wait(remaining)
+    def done(self) -> bool:
+        return self._state in _DONE_STATES
 
     def result(self, timeout: Optional[float] = None):
         if self._state == FINISHED and self._exception is None:
             return self._result  # set before the state: no lock needed
-        try:
-            with self._condition:
-                self._wait(timeout)
-                if self._state == FINISHED:
-                    if self._exception is not None:
-                        raise self._exception
-                    return self._result
-                if self._state in _DONE_STATES:
-                    raise CancelledError()
-                raise FutureTimeoutError()
-        finally:
-            self = None  # break the cycle through a raised exception
+        return Future.result(self, timeout)
 
-    def exception(self, timeout: Optional[float] = None):
-        with self._condition:
-            self._wait(timeout)
-            if self._state == FINISHED:
-                return self._exception
-            if self._state in _DONE_STATES:
-                raise CancelledError()
-            raise FutureTimeoutError()
+    _cancel = Future.cancel
+
+    def _fail(self, exc: BaseException) -> None:
+        _settle([self], [exc], failed=True)
+
+
+def _settle(futures, outcomes, failed: bool = False) -> None:
+    """Resolve each pair future in ``futures`` with its outcome (its
+    exception if ``failed``, else its value).
+
+    A future nobody has built a condition for is resolved by setting
+    its fields, under the lock that builds conditions: a caller that
+    builds one afterwards finds the future done.  The rest take the
+    stdlib's path, which notifies their waiters and runs callbacks.
+    """
+    slow = []
+    with _CONDITION_LOCK:
+        for future, outcome in zip(futures, outcomes):
+            if future._cond is None:
+                if failed:
+                    future._exception = outcome
+                else:
+                    future._result = outcome
+                future._state = FINISHED
+            else:
+                slow.append((future, outcome))
+    for future, outcome in slow:
+        if failed:
+            _resolve(future, exc=outcome)
+        else:
+            _resolve(future, value=outcome)
 
 
 class BatchTicket:
@@ -584,16 +597,14 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _slot(self) -> Tuple[_Shard, List[int], threading.Condition]:
-        """The calling thread's home shard, books cell, and the
-        condition its pair futures share."""
+    def _slot(self) -> Tuple[_Shard, List[int]]:
+        """The calling thread's home shard and books cell."""
         try:
             return self._local.slot
         except AttributeError:
             slot = (
                 self._shards[next(self._spin) % self.shards],
                 self._books.cell(),
-                threading.Condition(_FUTURE_LOCK),
             )
             self._local.slot = slot
             return slot
@@ -645,7 +656,7 @@ class QueryServer:
         """
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
-        home, cell, condition = self._slot()
+        home, cell = self._slot()
         base, generation = self._keying
         if base is not None and 0 <= u < base and 0 <= v < base:
             key = u * base + v
@@ -655,13 +666,15 @@ class QueryServer:
             # with packed ones.
             key = (u, v)
             base = None
-        future = _PairFuture(condition, key, base)
+        future = _PairFuture(key, base)
         if self._cache_on:
             value = self._cache.get(key, generation)
             if value is not MISS:
                 # Nobody else can see the future yet: no lock, no notify.
                 future._result = value
                 future._state = FINISHED
+                if _get_registry() is not self._obs_registry:
+                    self._bind_obs()  # feed the books to the current one
                 cell[_REQUESTS] += 1
                 cell[_CACHE_HITS] += 1
                 cell[_RESPONSES] += 1
@@ -736,7 +749,7 @@ class QueryServer:
         key packed for one vertex count never reads another's entry.
         """
         arrived = perf_counter()
-        home, cell, _ = self._slot()
+        home, cell = self._slot()
         width = ticket.width
         hits = 0
         if self._cache_on:
@@ -911,15 +924,9 @@ class QueryServer:
         return items, oldest
 
     def _cancel(self, items: List[object]) -> None:
-        width = 0
         for item in items:
-            if type(item) is _PairFuture:
-                item.cancel()
-                width += 1
-            else:
-                item._cancel()
-                width += item.width
-        self._books.cell()[_CANCELLED] += width
+            item._cancel()
+        self._books.cell()[_CANCELLED] += sum(item.width for item in items)
 
     def _serve(self, items: List[object], oldest: float) -> None:
         """Answer one drained group: cache the answers, then resolve
@@ -931,7 +938,8 @@ class QueryServer:
         merged call are answered one at a time.
         """
         obs = self._bind_obs()
-        futures: List[Tuple[_PairFuture, object]] = []
+        futures: List[_PairFuture] = []
+        values: List[object] = []  # futures[i] answers values[i]
         tickets: List[Tuple[BatchTicket, object]] = []
         failed: List[Tuple[object, BaseException]] = []
         puts: List[Tuple[List[object], object]] = []
@@ -944,13 +952,13 @@ class QueryServer:
             ticket_group: List[BatchTicket] = []
             alone: List[object] = []
             for item in items:
-                if type(item) is _PairFuture:
-                    width += 1
-                    group = pair_group
+                width += item.width
+                if item._base != base:
+                    alone.append(item)
+                elif type(item) is _PairFuture:
+                    pair_group.append(item)
                 else:
-                    width += item.width
-                    group = ticket_group
-                (group if item._base == base else alone).append(item)
+                    ticket_group.append(item)
             if len(pair_group) + len(ticket_group) > 1:
                 batch_fn = getattr(oracle, "batch_query", None)
                 try:
@@ -970,8 +978,9 @@ class QueryServer:
                     ordered = np.asarray(answers, dtype=object)[
                         inverse
                     ].tolist()
-                    futures.extend(zip(pair_group, ordered))
                     offset = len(pair_group)
+                    futures.extend(pair_group)
+                    values.extend(ordered[:offset])
                     for ticket in ticket_group:
                         end = offset + len(ticket._keys)
                         tickets.append((ticket, ordered[offset:end]))
@@ -991,7 +1000,8 @@ class QueryServer:
                     failed.append((item, exc))
                     continue
                 if single:
-                    futures.append((item, answers[0]))
+                    futures.append(item)
+                    values.append(answers[0])
                     keys = [item._key]
                 else:
                     tickets.append((item, answers))
@@ -1002,10 +1012,7 @@ class QueryServer:
         if self._cache_on:
             for keys, answers in puts:
                 self._cache.put_many(keys, answers, generation)
-        errors = sum(
-            1 if type(item) is _PairFuture else item.width
-            for item, _ in failed
-        )
+        errors = sum(item.width for item, _ in failed)
         # The books first: whoever sees an answer sees it counted.
         cell = self._books.cell()
         cell[_BATCHES] += 1
@@ -1013,18 +1020,11 @@ class QueryServer:
         cell[_RESPONSES] += width - errors
         cell[_ERRORS] += errors
         self._width_hist.observe(float(width))
-        for future, value in futures:
-            try:
-                future.set_result(value)
-            except InvalidStateError:
-                pass  # cancelled by its caller; nothing to deliver
+        _settle(futures, values)
         for ticket, answers in tickets:
             ticket._answer(answers)
         for item, exc in failed:
-            if type(item) is _PairFuture:
-                _resolve(item, exc=exc)
-            else:
-                item._fail(exc)
+            item._fail(exc)
         if obs is not None:
             obs.coalesce_width.observe(float(width))
             # One amortized observation per group: the oldest waiter's

@@ -19,6 +19,7 @@ from concurrent.futures import (
     as_completed,
     wait,
 )
+from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import pytest
 
@@ -938,7 +939,7 @@ def _held(oracle_cls=_StallOracle, **server_options):
 
 class TestPairFutures:
     """The future ``submit`` returns: a stdlib ``Future`` subclass that
-    shares one condition per submitting thread."""
+    builds its condition only when a caller needs it."""
 
     def test_submit_returns_a_stdlib_future(self, flat_oracle):
         with QueryServer(flat_oracle) as server:
@@ -951,41 +952,96 @@ class TestPairFutures:
         assert warm.result(timeout=0) == cold.result(timeout=0)
 
     def test_private_attributes_match_future_init(self):
-        # The subclass sets Future.__init__'s attributes itself; a
+        # The subclass sets Future.__init__'s attributes itself, with
+        # _cond standing in for _condition until one is needed; a
         # Python upgrade that changes that set must fail here.
         server, oracle, plug = _held()
         try:
             pending = server.submit(3, 4)
             plain = vars(Future())
-            mine = vars(pending)
+            mine = dict(vars(pending))
+            assert mine.pop("_cond") is None
             assert set(mine) - set(plain) == {"_key", "_base"}
-            assert set(plain) <= set(mine)
+            assert set(plain) - set(mine) == {"_condition"}
             for name, value in plain.items():
-                assert type(mine[name]) is type(value), name
                 if name != "_condition":
+                    assert type(mine[name]) is type(value), name
                     assert mine[name] == value, name
+            built = pending._condition
+            assert type(built) is type(plain["_condition"])
+            assert pending._cond is built is pending._condition
         finally:
             oracle.release.set()
             server.stop()
         assert pending.result(timeout=5) == 7.0
 
-    def test_siblings_share_the_submitting_threads_condition(self):
+    def test_condition_is_built_only_for_a_waited_pending_future(self):
         server, oracle, plug = _held()
+        got = []
         try:
-            mine = [server.submit(0, v) for v in range(3)]
-            theirs = []
-            thread = threading.Thread(
-                target=lambda: theirs.append(server.submit(5, 5))
+            idle = [server.submit(0, v) for v in range(3)]
+            watched = server.submit(5, 5)
+            waiter = threading.Thread(
+                target=lambda: got.append(watched.result(timeout=10))
             )
-            thread.start()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+            waiter.start()
+            deadline = time.monotonic() + 10
+            while watched._cond is None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert watched._cond is not None
+            assert not any(future.done() for future in idle)
         finally:
             oracle.release.set()
             server.stop()
-        conditions = {id(future._condition) for future in mine}
-        assert len(conditions) == 1
-        assert id(theirs[0]._condition) not in conditions
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert got == [10.0]
+        assert [future.result(timeout=0) for future in idle] == [0.0, 1.0, 2.0]
+        assert all(future._cond is None for future in idle + [plug])
+
+    def test_wait_mixes_pair_futures_with_foreign_futures(self):
+        # wait() takes each future's lock in id order, which cannot
+        # deadlock only while no two futures share a lock.  Two threads
+        # wait, over and over, on a plain Future together with a pair
+        # future below it in id order, and above it.
+        server, oracle, plug = _held()
+        pair_futures, plain = [], []
+        for v in range(40):
+            pair_futures.append(server.submit(6, v))
+            plain.append(Future())
+        low = min(pair_futures, key=id)
+        high = max(pair_futures, key=id)
+        foreign = next((f for f in plain if id(low) < id(f) < id(high)), None)
+        assert foreign is not None
+        halt = threading.Event()
+
+        def spin(futures):
+            while not halt.is_set():
+                wait(futures, timeout=0)
+
+        threads = [
+            threading.Thread(target=spin, args=(group,), daemon=True)
+            for group in ([low, foreign], [foreign, high])
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            halt.set()
+            for thread in threads:
+                thread.join(timeout=5)
+        finally:
+            sys.setswitchinterval(switch)
+        stuck = any(thread.is_alive() for thread in threads)
+        if not stuck:  # a deadlocked waiter would hang the stop as well
+            oracle.release.set()
+            server.stop()
+        assert not stuck, "wait() deadlocked on mixed futures"
+        assert [f.result(timeout=5) for f in pair_futures] == [
+            float(6 + v) for v in range(40)
+        ]
 
     def test_wait_and_as_completed_across_submitting_threads(self):
         server, oracle, plug = _held(max_queue=256)
@@ -1039,10 +1095,9 @@ class TestPairFutures:
         assert sorted(map(id, calls)) == sorted(map(id, pending + [hit]))
 
     def test_timeout_waits_out_its_deadline_while_siblings_resolve(self):
-        # Siblings share the target's condition, so every sibling that
-        # completes notifies the target's waiter.  The wait must go on
-        # to its own deadline, not raise TimeoutError at the first
-        # notify.
+        # Siblings submitted by the same thread complete while the
+        # target is awaited; the wait must go on to its own deadline,
+        # not raise TimeoutError when a sibling completes.
         server, oracle, plug = _held()
         siblings = []
 
@@ -1056,11 +1111,10 @@ class TestPairFutures:
             for method in (target.result, target.exception):
                 batch = [server.submit(8, v) for v in range(12)]
                 siblings += batch
-                assert all(s._condition is target._condition for s in batch)
                 helper = threading.Thread(target=resolve, args=(batch,))
                 helper.start()
                 start = time.monotonic()
-                with pytest.raises(TimeoutError):
+                with pytest.raises(FutureTimeoutError):
                     method(timeout=0.3)
                 waited = time.monotonic() - start
                 helper.join(timeout=10)
@@ -1112,7 +1166,7 @@ class TestPairFutures:
         try:
             waiter.start()
             time.sleep(0.02)
-            assert not got  # still parked on the submitter's condition
+            assert not got  # still waiting on the held dispatcher
             oracle.release.set()
             waiter.join(timeout=10)
         finally:
@@ -1126,7 +1180,7 @@ class TestPairFutures:
     ):
         # Each client waits on its own futures three ways, and with
         # concurrent.futures.wait over its neighbour's futures too, so
-        # waits take conditions of several submitting threads at once.
+        # one wait covers futures of two submitting threads.
         clients = 16
         published = [None] * clients
         ready = threading.Barrier(clients)
@@ -1249,6 +1303,22 @@ class TestOneSetOfBooks:
             server.query(5, 6)  # dispatch binds the current registry
             server.stop()
         assert late.get(SERVE_REQUESTS).value == server.stats().requests == 4
+
+    def test_a_cache_hit_binds_and_a_swapped_out_registry_keeps_reading(
+        self, flat_oracle
+    ):
+        with use_registry() as first:
+            server = QueryServer(flat_oracle).start()
+            server.query(1, 2)
+        with use_registry() as second:
+            server.query(1, 2)  # a cache hit binds the current registry
+            assert second.get(SERVE_CACHE_HITS).value == 1
+        server.stop()
+        # Every registry the server was bound to reads the one set of
+        # books, including what was counted before its bind.
+        for registry in (first, second):
+            assert registry.get(SERVE_REQUESTS).value == 2
+            assert registry.get(SERVE_CACHE_HITS).value == 1
 
 
 class TestDepthGauges:
