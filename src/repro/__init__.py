@@ -23,8 +23,8 @@ Package map (see DESIGN.md for the full inventory):
   integrity-checked artifacts, fault injection, and an oracle that
   degrades to exact search instead of answering wrong;
 * :mod:`repro.perf`       -- the performance layer: flat-array label
-  store (``backend="flat"`` on the oracles), process-pool traversal
-  fan-out (``workers=``), and the ``repro bench`` suite.
+  store (``backend="flat"`` on the oracles), the bit-parallel builder,
+  and the ``repro bench`` suite.
 """
 
 from . import (

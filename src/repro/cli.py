@@ -673,7 +673,6 @@ def _cmd_bench(args) -> int:
                 seed=args.seed,
                 num_sources=args.sources,
                 repeats=args.repeats,
-                workers=args.workers,
                 cache_dir=args.cache_dir,
             )
         )
@@ -1207,12 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--repeats", type=int, default=3, help="timings take the best of R"
-    )
-    p_bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size for the traversal fan-out suite",
     )
     p_bench.add_argument(
         "--cache-dir",

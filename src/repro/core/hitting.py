@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from ..graphs.graph import Graph
-from ..graphs.traversal import INF, shortest_path_distances
+from ..graphs.shortest_paths import all_pairs_distances
+from ..graphs.traversal import INF
 from ..obs.catalog import BUILD_PAIRS_PER_SECOND
 from ..obs.registry import get_registry
 from ..obs.spans import span
@@ -66,16 +67,12 @@ def build_hitting_set(
     *,
     seed: int = 0,
     matrix: List[List[float]] = None,
-    workers: int = None,
 ) -> HittingSetResult:
     """Sample ``S`` and collect the correction sets ``Q_u``.
 
     ``matrix`` may supply a precomputed distance matrix (APSP reuse by
-    the RS scheme); otherwise it is computed here -- with ``workers``
-    the per-root sweeps fan out over a process pool
-    (:func:`repro.perf.parallel.shortest_path_rows`; None/1 = serial,
-    identical rows).  Rich pairs are detected exactly via
-    ``|H_uv| >= D``.
+    the RS scheme); otherwise it is computed here.  Rich pairs are
+    detected exactly via ``|H_uv| >= D``.
     """
     with span("hitting.build"):
         n = graph.num_vertices
@@ -83,11 +80,8 @@ def build_hitting_set(
         size = hitting_set_size(n, threshold)
         sample = set(rng.sample(range(n), size)) if n else set()
         if matrix is None:
-            # Imported here: repro.perf sits above the core layer.
-            from ..perf.parallel import shortest_path_rows
-
             with span("hitting.apsp"):
-                matrix = shortest_path_rows(graph, workers=workers)
+                matrix = all_pairs_distances(graph)
         result = HittingSetResult(threshold=threshold, hitting_set=sample)
         sample_list = sorted(sample)
         # In an unweighted graph a shortest path of length d carries d + 1

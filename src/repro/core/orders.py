@@ -36,6 +36,7 @@ from typing import List
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..graphs.shortest_paths import all_pairs_distances
 from ..graphs.traversal import INF, shortest_path_distances
 
 __all__ = [
@@ -106,7 +107,7 @@ def coverage_order(graph: Graph, *, rounds: int = None) -> List[int]:
     n = graph.num_vertices
     if rounds is None:
         rounds = n
-    matrix = [shortest_path_distances(graph, v)[0] for v in graph.vertices()]
+    matrix = all_pairs_distances(graph)
     uncovered = {
         (u, v)
         for u in range(n)

@@ -39,8 +39,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
-from ..graphs.shortest_paths import hub_candidates_from_distances
-from ..graphs.traversal import INF, shortest_path_distances
+from ..graphs.shortest_paths import (
+    all_pairs_distances,
+    hub_candidates_from_distances,
+)
+from ..graphs.traversal import INF
 from ..rs.function import rs_upper_bound
 from ..rs.matchings import greedy_maximal_matching, konig_vertex_cover
 from .hitting import HittingSetResult, build_hitting_set
@@ -122,7 +125,7 @@ def rs_hub_labeling(
     if threshold < 2:
         raise ValueError("threshold D must be >= 2")
     rng = random.Random(seed)
-    matrix = [shortest_path_distances(graph, v)[0] for v in graph.vertices()]
+    matrix = all_pairs_distances(graph)
 
     labeling = HubLabeling(n)
     for v in range(n):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..graphs.graph import Graph
-from ..graphs.traversal import INF, shortest_path_distances
+from ..graphs.shortest_paths import all_pairs_distances
+from ..graphs.traversal import INF
 from .hitting import HittingSetResult, build_hitting_set
 from .hublabel import HubLabeling
 
@@ -71,7 +72,7 @@ def sparse_hub_labeling(
     if radius < 1:
         raise ValueError("radius must be >= 1")
     labeling = HubLabeling(n)
-    matrix = [shortest_path_distances(graph, v)[0] for v in graph.vertices()]
+    matrix = all_pairs_distances(graph)
     hitting = build_hitting_set(graph, radius + 1, seed=seed, matrix=matrix)
     for v in range(n):
         labeling.add_hub(v, v, 0)

@@ -121,15 +121,12 @@ def verify_cover_sampled(
     seed: int = 0,
     max_violations: int = 100,
     include_disconnected: bool = False,
-    workers: int = None,
 ) -> CoverReport:
     """Cover check from a random sample of source vertices.
 
     For graphs beyond full-APSP reach: runs one traversal per sampled
     source and checks every pair it roots.  A passing report certifies
     exactly the sampled rows; a failing one is a genuine counterexample.
-    ``workers`` fans the per-source traversals out over a process pool
-    (None/1 = serial, identical rows and report).
     """
     import random
 
@@ -147,11 +144,8 @@ def verify_cover_sampled(
     report = CoverReport(
         num_pairs=0, num_covered=0, violation_cap=max_violations
     )
-    # Imported here: repro.perf sits above the core layer.
-    from ..perf.parallel import shortest_path_rows
-
-    rows = shortest_path_rows(graph, sources, workers=workers)
-    for u, dist in zip(sources, rows):
+    for u in sources:
+        dist, _ = shortest_path_distances(graph, u)
         for v in graph.vertices():
             if v == u or (dist[v] == INF and not include_disconnected):
                 continue

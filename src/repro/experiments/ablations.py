@@ -39,12 +39,12 @@ from ..core import (
 from ..core.hitting import hitting_set_size
 from ..graphs import (
     Graph,
+    all_pairs_distances,
     grid_2d,
     hub_candidates_from_distances,
     random_bounded_degree_graph,
     random_sparse_graph,
     random_tree,
-    shortest_path_distances,
 )
 from ..graphs.traversal import INF
 from .tables import Table
@@ -233,9 +233,7 @@ def run_sample_factor(
     seed: int = 0,
 ) -> List[SampleFactorRow]:
     graph = random_sparse_graph(n, seed=seed)
-    matrix = [
-        shortest_path_distances(graph, v)[0] for v in graph.vertices()
-    ]
+    matrix = all_pairs_distances(graph)
     base = hitting_set_size(n, threshold)
     rng = random.Random(seed)
     rows = []

@@ -5,15 +5,17 @@ big hard instances (10^4-10^5 vertices) the labeling algorithms want a
 flat layout: ``offsets[v] : offsets[v+1]`` slices ``targets`` (and
 ``weights``) -- no per-edge tuple objects, no dict lookups.
 
-:class:`CSRGraph` is a read-only view built from a :class:`Graph`;
-the bit-parallel builder (:mod:`repro.perf.build`) and the parallel
-per-root traversals (:mod:`repro.perf.parallel`) consume it.
+:class:`CSRGraph` is a read-only view built from a :class:`Graph`, its
+three arrays int64 NumPy arrays; the bit-parallel builder
+(:mod:`repro.perf.build`) reads them as they are.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, Tuple
+from itertools import chain
+from typing import Tuple
+
+import numpy as np
 
 from .graph import Graph
 
@@ -33,13 +35,23 @@ class CSRGraph:
     )
 
     def __init__(self, graph: Graph) -> None:
-        self.num_vertices = graph.num_vertices
+        n = graph.num_vertices
+        self.num_vertices = n
         self._num_edges = graph.num_edges
-        self.offsets = list(accumulate(graph.degrees(), initial=0))
-        pairs = [pair for v in graph.vertices() for pair in graph.neighbors(v)]
-        self.targets = [u for u, _ in pairs]
-        self.weights = [w for _, w in pairs]
         self.is_weighted = graph.is_weighted
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(graph.degrees(), out=self.offsets[1:])
+        arcs = int(self.offsets[-1])
+        # Every (neighbor, weight) pair flattened into one int64 run,
+        # iterated in C over the adjacency rows themselves: no per-edge
+        # Python objects, no per-vertex range check.
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(graph._adj)),
+            dtype=np.int64,
+            count=2 * arcs,
+        ).reshape(arcs, 2)
+        self.targets = pairs[:, 0].copy()
+        self.weights = pairs[:, 1].copy()
 
     @property
     def num_edges(self) -> int:
@@ -60,8 +72,9 @@ class CSRGraph:
 
     def neighbor_slice(self, v: int) -> Tuple[int, int]:
         """The [start, end) range of ``v``'s neighbors in ``targets``."""
-        return self.offsets[v], self.offsets[v + 1]
+        return int(self.offsets[v]), int(self.offsets[v + 1])
 
-    def neighbor_ids(self, v: int) -> List[int]:
+    def neighbor_ids(self, v: int) -> np.ndarray:
+        """``v``'s neighbor ids, a view into ``targets``."""
         start, end = self.neighbor_slice(v)
         return self.targets[start:end]

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.hublabel import HubLabeling
 from ..graphs.graph import Graph
+from ..graphs.shortest_paths import all_pairs_distances
 from ..graphs.traversal import INF, shortest_path_distances
 from ..obs.catalog import (
     ORACLE_BATCHES,
@@ -85,9 +86,7 @@ class MatrixOracle:
     name = "matrix"
 
     def __init__(self, graph: Graph) -> None:
-        self._rows: List[List[float]] = [
-            shortest_path_distances(graph, v)[0] for v in graph.vertices()
-        ]
+        self._rows: List[List[float]] = all_pairs_distances(graph)
 
     def space_words(self) -> int:
         return sum(len(row) for row in self._rows)
@@ -325,7 +324,6 @@ class LandmarkOracle:
         num_landmarks: int,
         *,
         seed: int = 0,
-        workers: Optional[int] = None,
     ) -> None:
         if num_landmarks < 1:
             raise ValueError("need at least one landmark")
@@ -339,13 +337,10 @@ class LandmarkOracle:
         while len(chosen) < min(num_landmarks, n):
             chosen.add(rng.randrange(n))
         self._landmarks = sorted(chosen)
-        # Per-landmark sweeps are independent; ``workers`` fans them out
-        # over a process pool (None/1 = serial, identical rows).
-        from ..perf.parallel import shortest_path_rows
-
-        self._to_landmark: List[List[float]] = shortest_path_rows(
-            graph, self._landmarks, workers=workers
-        )
+        self._to_landmark: List[List[float]] = [
+            shortest_path_distances(graph, landmark)[0]
+            for landmark in self._landmarks
+        ]
 
     def space_words(self) -> int:
         return len(self._landmarks) * self._graph.num_vertices

@@ -13,9 +13,6 @@ The pieces (see docs/performance.md):
 * :class:`~repro.perf.cache.LabelCache` -- persistent on-disk label
   cache keyed by (graph, order, builder version), behind ``repro
   build`` and the ``--cache-dir`` CLI flag;
-* :mod:`repro.perf.parallel` -- process-pool fan-out for per-root
-  BFS/Dijkstra sweeps, behind the ``workers=`` knob on
-  ``build_hitting_set`` / ``LandmarkOracle`` / ``verify_cover_sampled``;
 * :mod:`repro.perf.bench` -- the pinned benchmark suite behind
   ``python -m repro bench`` (imported lazily: it is a CLI surface, not
   a library dependency).
@@ -24,7 +21,6 @@ The pieces (see docs/performance.md):
 from .build import BUILDER_VERSION, bitparallel_available, build_flat_labels
 from .cache import LabelCache, cache_key
 from .flat import FlatHubLabeling
-from .parallel import resolve_workers, shortest_path_rows
 
 __all__ = [
     "BUILDER_VERSION",
@@ -33,6 +29,4 @@ __all__ = [
     "bitparallel_available",
     "build_flat_labels",
     "cache_key",
-    "resolve_workers",
-    "shortest_path_rows",
 ]

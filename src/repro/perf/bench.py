@@ -63,9 +63,8 @@ instance, seed}``.  The suites:
   dict store, value AND type (must be 0: the byte-identical contract
   has to survive the cross-process float64 frame round trip);
 * ``label_memory_dict`` / ``label_memory_flat`` -- store sizes in words;
-* ``sssp_rows``             -- per-root traversal throughput through
-  :func:`repro.perf.parallel.shortest_path_rows` (exercises the
-  ``workers=`` fan-out when requested);
+* ``sssp_rows``             -- serial per-root traversal throughput of
+  :func:`repro.graphs.traversal.shortest_path_distances`;
 * ``obs_overhead``          -- instrumented / uninstrumented CPU-time
   ratio of the dict-backend ``HubLabelOracle.query`` loop (the
   uninstrumented side runs under a disabled
@@ -222,25 +221,23 @@ def run_bench(
     seed: int = 7,
     num_sources: int = 64,
     repeats: int = 3,
-    workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, Dict[str, object]]:
     """Run every suite and return ``suite -> entry`` (the JSON schema).
 
     ``quick`` swaps the acceptance instance ``G(2,2)`` for the small
     ``G(2,1)`` (seconds instead of minutes -- what CI runs).  ``seed``
-    pins the workload sample; ``workers`` is forwarded to the traversal
-    fan-out suite only; ``cache_dir`` pins where the cache suites
+    pins the workload sample; ``cache_dir`` pins where the cache suites
     store their artifact (default: a throwaway temp directory).
     """
     from ..core import pruned_landmark_labeling
     from ..core.orders import degree_order
+    from ..graphs.traversal import shortest_path_distances
     from ..lowerbound import build_degree3_instance
     from ..oracles.oracle import HubLabelOracle
     from .build import build_flat_labels
     from .cache import LabelCache
     from .flat import FlatHubLabeling
-    from .parallel import shortest_path_rows
 
     b, ell = QUICK_INSTANCE if quick else FULL_INSTANCE
     instance = _instance_name(b, ell)
@@ -644,7 +641,7 @@ def run_bench(
 
     roots = sources[: max(1, min(len(sources), 8 if quick else 16))]
     rows_time = _best_time(
-        lambda: shortest_path_rows(graph, roots, workers=workers),
+        lambda: [shortest_path_distances(graph, root) for root in roots],
         1 if not quick else repeats,
         suite="sssp_rows",
     )
@@ -654,7 +651,6 @@ def run_bench(
         round(rows_rps, 3),
         "rows/s",
         roots=len(roots),
-        workers=workers,
     )
 
     # Observability overhead: the same scalar loop through the public

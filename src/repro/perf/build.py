@@ -219,8 +219,8 @@ def _bitparallel_flat(
     kshift = (K - 1).bit_length()
     kmask = (1 << kshift) - 1
     csr = CSRGraph(graph)
-    adj_off = np.asarray(csr.offsets, dtype=np.int64)
-    adj_tgt = np.asarray(csr.targets, dtype=np.int64)
+    adj_off = csr.offsets
+    adj_tgt = csr.targets
     deg = np.diff(adj_off)
     order_arr = np.asarray(order, dtype=np.int64)
     ar_n = np.arange(n, dtype=np.int64)

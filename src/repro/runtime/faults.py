@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.hublabel import HubLabeling
 from ..graphs.graph import Graph
-from ..graphs.traversal import shortest_path_distances
+from ..graphs.shortest_paths import all_pairs_distances
 from ..obs.catalog import (
     CHAOS_DETECTED_AT_LOAD,
     CHAOS_FALLBACKS,
@@ -207,13 +207,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _ground_truth(graph: Graph) -> List[List[float]]:
-    return [
-        shortest_path_distances(graph, source)[0]
-        for source in graph.vertices()
-    ]
-
-
 def chaos_sweep(
     graph: Graph,
     labeling: HubLabeling,
@@ -244,7 +237,7 @@ def chaos_sweep(
     unknown = set(kinds) - set(FAULT_KINDS)
     if unknown:
         raise ValueError(f"unknown fault kind(s): {sorted(unknown)}")
-    truth = _ground_truth(graph)
+    truth = all_pairs_distances(graph)
     blob = labeling_to_bytes(labeling)
     n = graph.num_vertices
     report = ChaosReport()

@@ -60,7 +60,7 @@ from ..obs.catalog import (
 from ..obs.registry import Histogram
 from ..obs.registry import get_registry as _get_registry
 from ..runtime.errors import DomainError, ServerOverloadError
-from .server import WIDTH_BUCKETS, ServerStats
+from .server import _STATS_FIELDS, WIDTH_BUCKETS, ServerStats
 
 __all__ = ["ShardedQueryServer", "ShardedTicket", "FleetHealth"]
 
@@ -77,11 +77,7 @@ _ST_ERROR = 1
 _ERR_GENERIC = 0
 _ERR_DOMAIN = 1
 
-#: Fields (and order) of the packed uint64 stats a worker reports.
-_STATS_FIELDS = (
-    "requests", "responses", "errors", "cancelled", "cache_hits",
-    "overloads", "batches", "coalesced",
-)
+#: A worker reports its pipeline's ``_STATS_FIELDS`` as packed uint64s.
 _STATS_PACK = f">{len(_STATS_FIELDS)}Q"
 
 #: The worker tallies ``ShardedQueryServer.stats`` sums; the pair books
@@ -386,42 +382,33 @@ class ShardedQueryServer:
         """Shut the fleet down; ``drain`` (default) finishes in-flight
         frames first.
 
-        Every worker gets a shutdown handshake (it serves frames
-        synchronously, so nothing is left to drain when it acks); a
-        worker that does not ack in time is terminated.  The owned
-        shared-memory segment is closed and unlinked last, so
-        ``/dev/shm`` ends clean.
+        Every worker whose slot is free gets a shutdown handshake (it
+        serves frames synchronously, so nothing is left to drain when
+        it acks); a worker that does not ack in time is terminated.
+        With ``drain=False`` a slot busy with another thread's frame is
+        not waited for: its worker is terminated without a word on the
+        pipe, which that thread owns, and the frame fails with
+        ``RuntimeError``; ``stats()`` then lacks that worker's share of
+        the tallies it sums.  The owned shared-memory segment is closed
+        and unlinked last, so ``/dev/shm`` ends clean.
         """
         with self._lifecycle:
             if not self._running:
                 return
             self._running = False
             for worker in self._workers:
-                if drain:
-                    # The slot lock serializes behind any in-flight
-                    # roundtrip: acquiring it *is* the drain.
-                    worker.lock.acquire()
-                try:
-                    # Final stats poll first, so stats() keeps working
-                    # (from this snapshot) after the fleet is gone.
-                    polled = self._poll_stats_locked(worker)
-                    if polled is not None:
-                        for name, value in polled.items():
-                            self._final_worker_stats[name] += value
-                    worker.conn.send_bytes(bytes((_OP_SHUTDOWN,)))
-                    if worker.conn.poll(_LIFECYCLE_TIMEOUT):
-                        worker.conn.recv_bytes()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass  # already dead; join/terminate below
-                finally:
-                    if drain:
+                # The slot lock serializes behind any in-flight
+                # roundtrip: acquiring it *is* the drain.
+                if worker.lock.acquire(blocking=drain):
+                    try:
+                        self._retire(worker)
+                    finally:
                         worker.lock.release()
-            for worker in self._workers:
-                worker.process.join(_LIFECYCLE_TIMEOUT)
-                if worker.process.is_alive():  # pragma: no cover
+                else:
+                    # The frame's thread reads EOF, fails the frame in
+                    # _respawn and closes the pipe there.
                     worker.process.terminate()
                     worker.process.join(_LIFECYCLE_TIMEOUT)
-                worker.conn.close()
             self._workers = []
             if self._store is not None:
                 self._store.close()
@@ -476,21 +463,7 @@ class ShardedQueryServer:
             for slot in range(len(self._workers)):
                 worker = self._workers[slot]
                 with worker.lock:  # serializes behind in-flight frames
-                    polled = self._poll_stats_locked(worker)
-                    if polled is not None:
-                        for name, value in polled.items():
-                            self._final_worker_stats[name] += value
-                    try:
-                        worker.conn.send_bytes(bytes((_OP_SHUTDOWN,)))
-                        if worker.conn.poll(_LIFECYCLE_TIMEOUT):
-                            worker.conn.recv_bytes()
-                    except (BrokenPipeError, EOFError, OSError):
-                        pass  # already dead; join below
-                    worker.process.join(_LIFECYCLE_TIMEOUT)
-                    if worker.process.is_alive():  # pragma: no cover
-                        worker.process.terminate()
-                        worker.process.join(_LIFECYCLE_TIMEOUT)
-                    worker.conn.close()
+                    self._retire(worker)
                     fresh = self._spawn(wire)
                     fresh.lock = worker.lock  # held right now, on purpose
                     fresh.frames = worker.frames
@@ -545,6 +518,10 @@ class ShardedQueryServer:
 
     def submit_batch(self, us, vs) -> ShardedTicket:
         """A whole pair batch through one worker roundtrip."""
+        if not self._running:
+            raise RuntimeError(
+                "ShardedQueryServer is not running (call start())"
+            )
         us_arr = np.asarray(us, dtype=np.int64).reshape(-1)
         vs_arr = np.asarray(vs, dtype=np.int64).reshape(-1)
         if us_arr.shape != vs_arr.shape:
@@ -652,7 +629,7 @@ class ShardedQueryServer:
                 response = worker.conn.recv_bytes()
             except (EOFError, BrokenPipeError, ConnectionResetError,
                     OSError):
-                worker = self._respawn(slot)
+                worker = self._respawn(workers, slot)
                 worker.conn.send_bytes(payload)
                 response = worker.conn.recv_bytes()
             worker.frames += 1
@@ -660,20 +637,22 @@ class ShardedQueryServer:
         finally:
             workers[slot].lock.release()
 
-    def _respawn(self, slot: int) -> _Worker:
-        """Replace the (dead) worker in ``slot``; caller holds its lock."""
-        old = self._workers[slot]
-        try:
-            old.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if old.process.is_alive():  # pragma: no cover - racing death
-            old.process.terminate()
-        old.process.join(_LIFECYCLE_TIMEOUT)
+    def _respawn(self, workers: List[_Worker], slot: int) -> _Worker:
+        """Replace the (dead) worker in ``workers[slot]``; the caller
+        holds its lock.  Raises ``RuntimeError`` once the fleet is
+        stopped, so no worker outlives ``stop()``."""
+        old = workers[slot]
+        self._retire(old, handshake=False)
+        if not self._running:
+            raise RuntimeError("ShardedQueryServer stopped mid-frame")
         fresh = self._spawn(self._source)
         fresh.lock = old.lock  # the caller already holds this slot's lock
         fresh.frames = old.frames
-        self._workers[slot] = fresh
+        workers[slot] = fresh
+        if not self._running:
+            # stop() raced the spawn and may have missed ``fresh``.
+            self._retire(fresh, handshake=False)
+            raise RuntimeError("ShardedQueryServer stopped mid-frame")
         with self._stats_lock:
             self._restarts += 1
         obs = self._bind_obs()
@@ -681,6 +660,32 @@ class ShardedQueryServer:
             obs[1].inc()
             obs[2].set(self.workers_alive())
         return fresh
+
+    def _retire(self, worker: _Worker, *, handshake: bool = True) -> None:
+        """End one worker and close its pipe; the caller holds its slot
+        lock.
+
+        With ``handshake`` its final tallies are polled first, so
+        ``stats()`` keeps counting them after it is gone, and it gets
+        the shutdown handshake.  A worker still alive after that is
+        terminated.
+        """
+        if handshake:
+            polled = self._poll_stats_locked(worker)
+            if polled is not None:
+                for name, value in polled.items():
+                    self._final_worker_stats[name] += value
+            try:
+                worker.conn.send_bytes(bytes((_OP_SHUTDOWN,)))
+                if worker.conn.poll(_LIFECYCLE_TIMEOUT):
+                    worker.conn.recv_bytes()
+            except (BrokenPipeError, EOFError, OSError):
+                pass  # already dead; join below
+            worker.process.join(_LIFECYCLE_TIMEOUT)
+        if worker.process.is_alive():
+            worker.process.terminate()
+        worker.process.join(_LIFECYCLE_TIMEOUT)
+        worker.conn.close()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -10,6 +10,7 @@ from repro.graphs import (
     hub_candidates_from_distances,
     path_graph,
     random_sparse_graph,
+    random_weighted_graph,
 )
 
 
@@ -30,20 +31,25 @@ class TestSizeFormula:
 
 class TestBuild:
     def test_corrections_complete_the_cover(self):
-        g = random_sparse_graph(60, seed=3)
+        # The weighted graph takes the Dijkstra rows and the counted
+        # richness test; the unweighted one the distance shortcut.
         threshold = 4
-        result = build_hitting_set(g, threshold, seed=1)
-        matrix = all_pairs_distances(g)
-        for u in range(60):
-            for v in range(u + 1, 60):
-                candidates = hub_candidates_from_distances(
-                    matrix[u], matrix[v], matrix[u][v]
-                )
-                if len(candidates) < threshold:
-                    continue
-                hit = not result.hitting_set.isdisjoint(candidates)
-                corrected = v in result.corrections.get(u, ())
-                assert hit or corrected
+        for g in (
+            random_sparse_graph(60, seed=3),
+            random_weighted_graph(60, 90, seed=3),
+        ):
+            result = build_hitting_set(g, threshold, seed=1)
+            matrix = all_pairs_distances(g)
+            for u in range(60):
+                for v in range(u + 1, 60):
+                    candidates = hub_candidates_from_distances(
+                        matrix[u], matrix[v], matrix[u][v]
+                    )
+                    if len(candidates) < threshold:
+                        continue
+                    hit = not result.hitting_set.isdisjoint(candidates)
+                    corrected = v in result.corrections.get(u, ())
+                    assert hit or corrected
 
     def test_corrections_symmetric(self):
         g = random_sparse_graph(50, seed=9)

@@ -25,6 +25,7 @@ from repro.obs.catalog import (
 )
 from repro.oracles.oracle import HubLabelOracle
 from repro.perf.flat import FlatHubLabeling
+from repro.perf.shm import SHM_NAME_PREFIX
 from repro.runtime.errors import DomainError, ServerOverloadError
 from repro.serve import FleetHealth, ShardedQueryServer, run_loadgen
 
@@ -149,6 +150,16 @@ class TestErrors:
         with pytest.raises(RuntimeError):
             fleet.submit(0, 1)
 
+    def test_empty_batch_before_start_raises(self, built):
+        # Same as the in-process door: an empty batch is no excuse to
+        # answer from a stopped fleet.
+        _, _, flat = built
+        fleet = ShardedQueryServer(
+            HubLabelOracle(flat, backend="flat"), processes=1
+        )
+        with pytest.raises(RuntimeError):
+            fleet.submit_batch([], [])
+
 
 class TestLifecycle:
     def test_stats_survive_shutdown(self, built):
@@ -184,6 +195,42 @@ class TestLifecycle:
         assert stats.requests == (
             stats.responses + stats.errors + stats.cancelled
         )
+
+    def test_cancelling_stop_leaves_a_busy_slots_pipe_alone(
+        self, built, monkeypatch
+    ):
+        # A slot held by another thread is mid-frame: its pipe belongs
+        # to that thread, so stop(drain=False) must not poll or shut
+        # the worker down over it -- only end the process.
+        _, _, flat = built
+        before = set(os.listdir("/dev/shm"))
+        fleet = ShardedQueryServer(
+            HubLabelOracle(flat, backend="flat"), processes=2
+        )
+        fleet.start()
+        workers = fleet._workers
+        busy = workers[0]
+        sent = []
+        monkeypatch.setattr(busy.conn, "send_bytes", sent.append)
+        busy.lock.acquire()
+        try:
+            fleet.stop(drain=False)
+            assert sent == []
+            assert not busy.process.is_alive()
+            # The frame's thread then finds the worker gone: a typed
+            # error, and no worker spawned after stop.
+            with pytest.raises(RuntimeError):
+                fleet._respawn(workers, 0)
+            assert workers[0] is busy
+        finally:
+            busy.lock.release()
+        assert fleet.workers_alive() == 0
+        leaked = {
+            name
+            for name in set(os.listdir("/dev/shm")) - before
+            if name.startswith(SHM_NAME_PREFIX)
+        }
+        assert leaked == set()
 
     def test_stop_is_idempotent_and_restartable(self, built):
         _, _, flat = built
