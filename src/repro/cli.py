@@ -426,23 +426,44 @@ def _print_server_summary(server, report) -> None:
 
 def _cmd_serve(args) -> int:
     """Self-test mode: every served answer graded against ground truth."""
+    return _serve_and_report(args, grade=True, describe=True)
+
+
+def _serve_and_report(args, *, grade, mutations=0, describe=False) -> int:
+    """Stand a server up over the command's labels, run the load
+    generator against it (graded with ``grade``, churned by
+    ``mutations`` hot-swapped edits), and print the summary; exit 0
+    iff the run is OK.  ``describe`` adds the labeling and server
+    header lines."""
     from .oracles.oracle import HubLabelOracle
     from .serve import run_loadgen
 
     graph, flat = _serve_labels(args)
-    ground = HubLabelOracle(flat.to_labeling(), backend="dict")
+    expected = None
+    if grade:
+        ground = HubLabelOracle(flat.to_labeling(), backend="dict")
+        expected = lambda u, v: ground.query(u, v).distance  # noqa: E731
     server = _make_server(args, graph, flat)
     print(f"graph:    {graph}")
-    print(f"labeling: {flat}")
-    fanout = (
-        f"processes={server.processes}"
-        if hasattr(server, "processes")
-        else f"shards={server.shards}x{server.dispatchers}"
-    )
-    print(
-        f"server:   {type(server.oracle).__name__}, "
-        f"queue<={args.max_queue}, cache={args.cache_size}, {fanout}"
-    )
+    if describe:
+        print(f"labeling: {flat}")
+        fanout = (
+            f"processes={server.processes}"
+            if hasattr(server, "processes")
+            else f"shards={server.shards}x{server.dispatchers}"
+        )
+        print(
+            f"server:   {type(server.oracle).__name__}, "
+            f"queue<={args.max_queue}, cache={args.cache_size}, {fanout}"
+        )
+    churn = {}
+    if mutations:
+        churn = {
+            "churn": _make_churn(
+                server, graph, mutations=mutations, seed=args.seed
+            ),
+            "churn_interval": args.churn_interval,
+        }
     with server:
         report = run_loadgen(
             server,
@@ -451,12 +472,13 @@ def _cmd_serve(args) -> int:
             requests_per_client=args.requests,
             duration=args.duration,
             seed=args.seed,
-            expected=lambda u, v: ground.query(u, v).distance,
+            expected=expected,
             batch_size=args.batch or None,
             distribution=args.distribution,
             zipf_s=args.zipf_s,
             hot_pairs=args.hot_pairs,
             hot_fraction=args.hot_fraction,
+            **churn,
         )
     _print_server_summary(server, report)
     _maybe_write_metrics(args)
@@ -518,47 +540,15 @@ def _make_churn(server, graph, *, mutations, seed):
 
 def _cmd_loadgen(args) -> int:
     """Throughput mode: grading is opt-in (``--validate``)."""
-    from .oracles.oracle import HubLabelOracle
-    from .serve import run_loadgen
-
     if args.churn and args.validate:
         raise SystemExit(
             "--validate grades against the initial labeling, which "
             "--churn mutates away; churn runs grade their own "
             "post-swap probes instead"
         )
-    graph, flat = _serve_labels(args)
-    expected = None
-    if args.validate:
-        ground = HubLabelOracle(flat.to_labeling(), backend="dict")
-        expected = lambda u, v: ground.query(u, v).distance  # noqa: E731
-    server = _make_server(args, graph, flat)
-    print(f"graph:    {graph}")
-    churn = None
-    if args.churn:
-        churn = _make_churn(
-            server, graph, mutations=args.churn, seed=args.seed
-        )
-    with server:
-        report = run_loadgen(
-            server,
-            graph.num_vertices,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            duration=args.duration,
-            seed=args.seed,
-            expected=expected,
-            batch_size=args.batch or None,
-            distribution=args.distribution,
-            zipf_s=args.zipf_s,
-            hot_pairs=args.hot_pairs,
-            hot_fraction=args.hot_fraction,
-            churn=churn,
-            churn_interval=args.churn_interval,
-        )
-    _print_server_summary(server, report)
-    _maybe_write_metrics(args)
-    return 0 if report.ok else 1
+    return _serve_and_report(
+        args, grade=args.validate, mutations=args.churn
+    )
 
 
 def _cmd_mutate(args) -> int:

@@ -8,7 +8,7 @@ spawns ``clients`` threads, each with its own seeded RNG, firing random
 :meth:`QueryServer.submit_batch` fast path, one ticket per window:
 
 * **overloads** are handled the way a well-behaved client would --
-  back off briefly and retry (up to ``max_retries``); a request that
+  back off briefly and retry (up to ``MAX_RETRIES`` times); a request that
   still cannot be admitted is tallied as *dropped*, which the soak test
   requires to be zero;
 * with ``expected`` (a ``(u, v) -> distance`` callable), every answer
@@ -45,6 +45,12 @@ __all__ = ["LoadReport", "PAIR_DISTRIBUTIONS", "make_pair_sampler", "run_loadgen
 
 #: The query-pair distributions ``run_loadgen`` (and the CLIs) accept.
 PAIR_DISTRIBUTIONS = ("uniform", "zipf", "hotspot")
+
+#: Admission retries per overloaded request before it counts as dropped.
+MAX_RETRIES = 50
+
+#: Base back-off between retries, in seconds (scaled by 1..8).
+BACKOFF = 0.002
 
 
 def make_pair_sampler(
@@ -179,8 +185,6 @@ def run_loadgen(
     duration: Optional[float] = None,
     seed: int = 0,
     expected: Optional[Callable[[int, int], object]] = None,
-    max_retries: int = 50,
-    backoff: float = 0.002,
     batch_size: Optional[int] = None,
     distribution: str = "uniform",
     sampler: Optional[Callable[[random.Random], Tuple[int, int]]] = None,
@@ -256,13 +260,13 @@ def run_loadgen(
                 count += 1
                 u, v = sampler(rng)
                 future = None
-                for attempt in range(max_retries + 1):
+                for attempt in range(MAX_RETRIES + 1):
                     try:
                         future = server.submit(u, v)
                         retries += attempt
                         break
                     except ServerOverloadError:
-                        time.sleep(backoff * (1 + (attempt % 8)))
+                        time.sleep(BACKOFF * (1 + (attempt % 8)))
                 if future is None:
                     dropped += 1
                     continue
@@ -287,13 +291,13 @@ def run_loadgen(
             us = [u for u, _ in window]
             vs = [v for _, v in window]
             ticket = None
-            for attempt in range(max_retries + 1):
+            for attempt in range(MAX_RETRIES + 1):
                 try:
                     ticket = server.submit_batch(us, vs)
                     retries += attempt
                     break
                 except ServerOverloadError:
-                    time.sleep(backoff * (1 + (attempt % 8)))
+                    time.sleep(BACKOFF * (1 + (attempt % 8)))
             if ticket is None:
                 dropped += width
                 continue

@@ -404,6 +404,16 @@ class ServerStats:
         return self.coalesced / self.batches if self.batches else 0.0
 
 
+def _snapshot(books: _Books, width_hist: Histogram) -> ServerStats:
+    """The :class:`ServerStats` of one set of books and width histogram."""
+    totals = books.totals()
+    return ServerStats(
+        *totals[: len(_STATS_FIELDS)],
+        batch_width_p50=width_hist.percentile(0.50) or 0.0,
+        batch_width_p95=width_hist.percentile(0.95) or 0.0,
+    )
+
+
 def _generation_for(oracle, seq: int) -> str:
     """The cache-generation token for ``oracle`` installed as swap ``seq``.
 
@@ -829,13 +839,7 @@ class QueryServer:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> ServerStats:
-        totals = self._books.totals()
-        hist = self._width_hist
-        return ServerStats(
-            *totals[: len(_STATS_FIELDS)],
-            batch_width_p50=hist.percentile(0.50) or 0.0,
-            batch_width_p95=hist.percentile(0.95) or 0.0,
-        )
+        return _snapshot(self._books, self._width_hist)
 
     @property
     def cache(self) -> ResultCache:

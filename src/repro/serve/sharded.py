@@ -6,8 +6,7 @@ the way the hub-labeling serving literature does -- the label store is
 immutable, so shard the *compute*, not the data:
 
 * the parent copies the flat store's artifact envelope into **one**
-  ``multiprocessing.shared_memory`` segment (or points workers at a
-  cached artifact file to ``mmap``), via :mod:`repro.perf.shm`;
+  ``multiprocessing.shared_memory`` segment, via :mod:`repro.perf.shm`;
 * each of ``processes`` forked workers attaches zero-copy and serves
   every frame synchronously through the in-process pipeline -- an
   unstarted :class:`~repro.serve.server.QueryServer` with its own
@@ -33,17 +32,22 @@ and shutdown is drain-then-stop: in-flight frames finish, workers get
 an explicit shutdown handshake, stragglers are terminated, and the
 owned segment is unlinked (nothing left under ``/dev/shm``).
 
-Metrics: ``serve.worker_batches`` per frame (labelled by worker slot),
-``serve.worker_restarts`` per respawn, and the ``serve.workers_alive``
-gauge, all emitted parent-side (worker-process registries are invisible
-to the parent).
+One set of books, kept parent-side: the parent sees every pair and
+every frame, and each answer frame carries how many of its pairs the
+worker's cache answered, so :meth:`ShardedQueryServer.stats` is a sum
+over the same per-thread books cells the in-process server keeps.  It
+touches no pipe and no slot lock, and a respawned or terminated worker
+takes none of the tallies with it.  The six ``serve.*`` counters read
+those cells; ``serve.worker_batches`` per frame (labelled by worker
+slot), ``serve.worker_restarts`` per respawn, and the
+``serve.workers_alive`` gauge are emitted parent-side too (worker-process
+registries are invisible to the parent).
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-import struct
 import threading
 from concurrent.futures import Future
 from typing import List, Optional, Tuple
@@ -60,14 +64,28 @@ from ..obs.catalog import (
 from ..obs.registry import Histogram
 from ..obs.registry import get_registry as _get_registry
 from ..runtime.errors import DomainError, ServerOverloadError
-from .server import _STATS_FIELDS, WIDTH_BUCKETS, ServerStats
+from .server import (
+    _BATCH_SUBMISSIONS,
+    _BATCHES,
+    _CACHE_HITS,
+    _CACHE_MISSES,
+    _COALESCED,
+    _ERRORS,
+    _FED_COUNTERS,
+    _OVERLOADS,
+    _REQUESTS,
+    _RESPONSES,
+    WIDTH_BUCKETS,
+    ServerStats,
+    _Books,
+    _snapshot,
+)
 
 __all__ = ["ShardedQueryServer", "ShardedTicket", "FleetHealth"]
 
 # Wire protocol opcodes (first byte of every request frame).
 _OP_QUERY = 0
 _OP_SHUTDOWN = 1
-_OP_STATS = 2
 
 # Response status (first byte of every response frame).
 _ST_OK = 0
@@ -76,13 +94,6 @@ _ST_ERROR = 1
 # Error kinds inside an error response (second byte).
 _ERR_GENERIC = 0
 _ERR_DOMAIN = 1
-
-#: A worker reports its pipeline's ``_STATS_FIELDS`` as packed uint64s.
-_STATS_PACK = f">{len(_STATS_FIELDS)}Q"
-
-#: The worker tallies ``ShardedQueryServer.stats`` sums; the pair books
-#: (requests / responses / errors / overloads) are the parent's own.
-_SUMMED = ("cancelled", "cache_hits", "batches", "coalesced")
 
 #: Patience for lifecycle handshakes (shutdown ack, worker join).
 _LIFECYCLE_TIMEOUT = 5.0
@@ -103,55 +114,45 @@ def _encode_error(kind: int, message: str) -> bytes:
     return bytes((_ST_ERROR, kind)) + message.encode("utf-8", "replace")
 
 
-def _worker_main(conn, source_kind: str, source_arg: str, options: dict):
+def _worker_main(conn, segment: str, cache_size: int):
     """One worker process: attach the shared store, serve frames forever.
 
     Each frame goes through the in-process pipeline synchronously: a
     private, never-started :class:`~repro.serve.server.QueryServer`
     whose oracle views the shared pages dedups it, probes its own
     generation-keyed result cache, and serves the rest in this thread
-    -- no dispatcher thread, no event hop.  Top-level (and with
-    picklable arguments) so the fleet also works under the ``spawn``
-    start method.
+    -- no dispatcher thread, no event hop.  An answer frame is status,
+    pair count, the frame's cache-hit count, then the float64
+    distances.  Top-level (and with picklable arguments) so the fleet
+    also works under the ``spawn`` start method.
     """
     from ..oracles.oracle import HubLabelOracle
-    from ..perf.shm import MappedLabelStore, SharedLabelStore
+    from ..perf.shm import SharedLabelStore
     from .server import QueryServer
 
-    if source_kind == "shm":
-        store = SharedLabelStore.attach(source_arg)
-    else:
-        store = MappedLabelStore(source_arg)
+    store = SharedLabelStore.attach(segment)
     # Admission is the parent's job; the worker's pipeline is never
     # started and serves each frame inline.
     server = QueryServer(
-        HubLabelOracle(store.flat, backend="flat"),
-        cache_size=int(options.get("cache_size", 4096)),
+        HubLabelOracle(store.flat, backend="flat"), cache_size=cache_size
     )
+    books = server._books.cell()  # this thread's: the frame's hits
     try:
         while True:
             try:
                 frame = conn.recv_bytes()
             except (EOFError, OSError):
                 break  # parent went away; nothing left to serve
-            op = frame[0]
-            if op == _OP_SHUTDOWN:
+            if frame[0] == _OP_SHUTDOWN:
                 try:
                     conn.send_bytes(bytes((_OP_SHUTDOWN,)))
                 except (BrokenPipeError, OSError):
                     pass
                 break
-            if op == _OP_STATS:
-                stats = server.stats()
-                packed = struct.pack(
-                    _STATS_PACK,
-                    *(getattr(stats, name) for name in _STATS_FIELDS),
-                )
-                conn.send_bytes(bytes((_OP_STATS,)) + packed)
-                continue
             m = int.from_bytes(frame[1:9], "big")
             us = np.frombuffer(frame, dtype="<i8", count=m, offset=9)
             vs = np.frombuffer(frame, dtype="<i8", count=m, offset=9 + 8 * m)
+            hits = books[_CACHE_HITS]
             try:
                 ticket, generation = server._ticket(us, vs)
                 server._enqueue(ticket, generation, inline=True)
@@ -163,9 +164,11 @@ def _worker_main(conn, source_kind: str, source_arg: str, options: dict):
             except Exception as exc:  # pragma: no cover - defensive
                 conn.send_bytes(_encode_error(_ERR_GENERIC, str(exc)))
                 continue
+            hits = books[_CACHE_HITS] - hits
             conn.send_bytes(
                 bytes((_ST_OK,))
                 + m.to_bytes(8, "big")
+                + hits.to_bytes(8, "big")
                 + payload.astype("<f8", copy=False).tobytes()
             )
     finally:
@@ -188,24 +191,20 @@ class ShardedTicket:
     so ``run_loadgen`` and callers are door-agnostic.
     """
 
-    __slots__ = ("width", "_results", "_error")
+    __slots__ = ("width", "_results")
 
-    def __init__(self, width, results=None, error=None):
+    def __init__(self, width, results):
         self.width = width
         self._results = results
-        self._error = error
 
     def done(self) -> bool:
         return True
 
     def result(self, timeout: Optional[float] = None) -> List[object]:
-        if self._error is not None:
-            raise self._error
         return self._results
 
     def __repr__(self) -> str:
-        state = "failed" if self._error is not None else "done"
-        return f"ShardedTicket(width={self.width}, {state})"
+        return f"ShardedTicket(width={self.width}, done)"
 
 
 class FleetHealth:
@@ -246,13 +245,12 @@ class FleetHealth:
 class _Worker:
     """One worker slot: process + pipe + the lock serializing its use."""
 
-    __slots__ = ("process", "conn", "lock", "frames")
+    __slots__ = ("process", "conn", "lock")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.lock = threading.Lock()
-        self.frames = 0
 
 
 def _flat_store_of(source):
@@ -274,10 +272,8 @@ class ShardedQueryServer:
 
     ``source`` is an oracle, a labeling, or a
     :class:`~repro.perf.flat.FlatHubLabeling`; whatever it is, the flat
-    store is extracted once and shared with every worker zero-copy --
-    through a fresh shared-memory segment by default, or through an
-    ``mmap`` of ``artifact_path`` (a cached v4 envelope, e.g. from
-    :class:`~repro.perf.cache.LabelCache`) when given.
+    store is extracted once and copied into a fresh shared-memory
+    segment that every worker attaches zero-copy.
 
     ``max_queue`` bounds in-flight pairs fleet-wide (admission mirrors
     the in-process server: a batch is admitted whole into remaining
@@ -292,8 +288,6 @@ class ShardedQueryServer:
         processes: int = 4,
         max_queue: int = 1024,
         cache_size: int = 4096,
-        artifact_path=None,
-        mp_context=None,
     ) -> None:
         if processes < 1:
             raise ValueError("processes must be at least 1")
@@ -301,7 +295,7 @@ class ShardedQueryServer:
             raise ValueError("max_queue must be at least 1")
         self.processes = processes
         self.max_queue = max_queue
-        self._options = {"cache_size": cache_size}
+        self._cache_size = cache_size
         self._flat = _flat_store_of(source)
         self._oracle = (
             source
@@ -309,31 +303,23 @@ class ShardedQueryServer:
             else None
         )
         self._n = self._flat.num_vertices
-        self._artifact_path = artifact_path
-        if mp_context is None:
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                mp_context = multiprocessing.get_context()
-        self._ctx = mp_context
-        self._store = None  # owned SharedLabelStore (shm source only)
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX
+            self._ctx = multiprocessing.get_context()
+        self._store = None  # the owned SharedLabelStore while running
+        self._segment: Optional[str] = None  # its name, for respawns
         self._workers: List[_Worker] = []
         self._running = False
         self._lifecycle = threading.Lock()
         self._admission = threading.Lock()
         self._inflight = 0
         self._spin = itertools.count()
-        self._stats_lock = threading.Lock()
-        self._stats = {
-            "requests": 0,
-            "responses": 0,
-            "errors": 0,
-            "overloads": 0,
-        }
-        self._restarts = 0
+        self._books = _Books()
+        # Per slot; each entry is bumped only under its slot's lock.
+        self._frames = [0] * processes
+        self._restarts = [0] * processes
         self._generation_seq = 0
-        self._source: Optional[Tuple[str, str]] = None
-        self._final_worker_stats = {name: 0 for name in _STATS_FIELDS}
         self._width_hist = Histogram(
             SERVE_COALESCE_WIDTH, (), WIDTH_BUCKETS
         )
@@ -347,17 +333,11 @@ class ShardedQueryServer:
         with self._lifecycle:
             if self._running:
                 return self
-            if self._artifact_path is not None:
-                source = ("mmap", str(self._artifact_path))
-            else:
-                from ..perf.shm import SharedLabelStore
+            from ..perf.shm import SharedLabelStore
 
-                self._store = SharedLabelStore.create(self._flat)
-                source = ("shm", self._store.name)
-            self._source = source
-            self._workers = [
-                self._spawn(source) for _ in range(self.processes)
-            ]
+            self._store = SharedLabelStore.create(self._flat)
+            self._segment = self._store.name
+            self._workers = [self._spawn() for _ in range(self.processes)]
             self._running = True
             obs = self._bind_obs()
             if obs is not None:
@@ -366,11 +346,11 @@ class ShardedQueryServer:
                 obs[3].set(self._generation_seq)
         return self
 
-    def _spawn(self, source) -> _Worker:
+    def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, source[0], source[1], self._options),
+            args=(child_conn, self._segment, self._cache_size),
             name="repro-shard-worker",
             daemon=True,
         )
@@ -388,9 +368,10 @@ class ShardedQueryServer:
         With ``drain=False`` a slot busy with another thread's frame is
         not waited for: its worker is terminated without a word on the
         pipe, which that thread owns, and the frame fails with
-        ``RuntimeError``; ``stats()`` then lacks that worker's share of
-        the tallies it sums.  The owned shared-memory segment is closed
-        and unlinked last, so ``/dev/shm`` ends clean.
+        ``RuntimeError``, its pairs booked as errors.  ``stats()`` stays
+        exact either way: the books are the parent's, so no worker
+        takes its share with it.  The owned shared-memory segment is
+        closed and unlinked last, so ``/dev/shm`` ends clean.
         """
         with self._lifecycle:
             if not self._running:
@@ -448,9 +429,6 @@ class ShardedQueryServer:
                 else None
             )
             self._n = flat.num_vertices
-            # A swap always serves from a fresh segment; a stale
-            # artifact path must not win on a later start()/respawn.
-            self._artifact_path = None
             self._generation_seq += 1
             if not self._running:
                 return
@@ -458,18 +436,15 @@ class ShardedQueryServer:
 
             old_store = self._store
             self._store = SharedLabelStore.create(flat)
-            wire = ("shm", self._store.name)
-            self._source = wire
+            self._segment = self._store.name
             for slot in range(len(self._workers)):
                 worker = self._workers[slot]
                 with worker.lock:  # serializes behind in-flight frames
                     self._retire(worker)
-                    fresh = self._spawn(wire)
+                    fresh = self._spawn()
                     fresh.lock = worker.lock  # held right now, on purpose
-                    fresh.frames = worker.frames
                     self._workers[slot] = fresh
-            if old_store is not None:
-                old_store.close()
+            old_store.close()
             obs = self._bind_obs()
             if obs is not None:
                 obs[3].set(self._generation_seq)
@@ -527,9 +502,9 @@ class ShardedQueryServer:
         if us_arr.shape != vs_arr.shape:
             raise ValueError("us and vs must be the same length")
         if us_arr.size == 0:
-            return ShardedTicket(0, results=[])
+            return ShardedTicket(0, [])
         values = self._submit_arrays(us_arr, vs_arr)
-        return ShardedTicket(us_arr.size, results=values)
+        return ShardedTicket(us_arr.size, values)
 
     def query(self, u: int, v: int, timeout: Optional[float] = None):
         """Blocking convenience: submit one pair, return its distance."""
@@ -551,41 +526,50 @@ class ShardedQueryServer:
                 f"batch contains a vertex outside [0, {self._n})"
             )
         width = us.size
+        cell = self._books.cell()
         with self._admission:
             # Mirror the in-process shards: admit while *any* capacity
             # remains (an oversized batch still lands when the fleet is
             # idle -- overshoot-by-one, never livelock).
             if self._inflight >= self.max_queue:
-                with self._stats_lock:
-                    self._stats["overloads"] += 1
+                cell[_OVERLOADS] += 1
                 raise ServerOverloadError(
                     f"sharded admission is full; batch of {width} "
                     f"pair(s) rejected",
                     capacity=self.max_queue,
                 )
             self._inflight += width
+        cell[_REQUESTS] += width
         try:
-            with self._stats_lock:
-                self._stats["requests"] += width
-            payload = _encode_query(us, vs)
-            slot, response = self._roundtrip(payload)
-            values = self._decode_response(response, width)
+            slot, response = self._roundtrip(_encode_query(us, vs))
+            values, hits = self._decode_response(response, width)
         except Exception:
-            with self._stats_lock:
-                self._stats["errors"] += width
+            # No cache answered these pairs: requests == hits + misses.
+            cell[_CACHE_MISSES] += width
+            cell[_ERRORS] += width
             raise
         finally:
             with self._admission:
                 self._inflight -= width
-        self._width_hist.observe(float(width))
-        with self._stats_lock:
-            self._stats["responses"] += width
+        # Booked as the worker's pipeline books it: a frame its cache
+        # did not answer whole is one dispatched group.
+        cell[_CACHE_HITS] += hits
+        cell[_CACHE_MISSES] += width - hits
+        if hits < width:
+            cell[_BATCH_SUBMISSIONS] += 1
+            cell[_BATCHES] += 1
+            cell[_COALESCED] += width
+            self._width_hist.observe(float(width))
+        cell[_RESPONSES] += width
         obs = self._bind_obs()
         if obs is not None:
             obs[0](slot).inc()
         return values
 
-    def _decode_response(self, frame: bytes, width: int) -> List[object]:
+    def _decode_response(
+        self, frame: bytes, width: int
+    ) -> Tuple[List[object], int]:
+        """An answer frame's distances and cache-hit count."""
         from ..perf.flat import _dedouble
 
         if frame[0] == _ST_ERROR:
@@ -598,11 +582,12 @@ class ShardedQueryServer:
             raise RuntimeError(
                 f"worker answered {m} pair(s) for a {width}-pair frame"
             )
-        dists = np.frombuffer(frame, dtype="<f8", count=m, offset=9)
+        hits = int.from_bytes(frame[9:17], "big")
+        dists = np.frombuffer(frame, dtype="<f8", count=m, offset=17)
         # Same narrowing the flat store applies: integral distances come
         # back as Python ints, disconnection as INF -- byte-identical to
         # the dict store even across the float64 wire.
-        return [_dedouble(value) for value in dists.tolist()]
+        return [_dedouble(value) for value in dists.tolist()], hits
 
     # ------------------------------------------------------------------
     # Worker fan-out + respawn
@@ -632,7 +617,7 @@ class ShardedQueryServer:
                 worker = self._respawn(workers, slot)
                 worker.conn.send_bytes(payload)
                 response = worker.conn.recv_bytes()
-            worker.frames += 1
+            self._frames[slot] += 1
             return slot, response
         finally:
             workers[slot].lock.release()
@@ -645,16 +630,14 @@ class ShardedQueryServer:
         self._retire(old, handshake=False)
         if not self._running:
             raise RuntimeError("ShardedQueryServer stopped mid-frame")
-        fresh = self._spawn(self._source)
+        fresh = self._spawn()
         fresh.lock = old.lock  # the caller already holds this slot's lock
-        fresh.frames = old.frames
         workers[slot] = fresh
         if not self._running:
             # stop() raced the spawn and may have missed ``fresh``.
             self._retire(fresh, handshake=False)
             raise RuntimeError("ShardedQueryServer stopped mid-frame")
-        with self._stats_lock:
-            self._restarts += 1
+        self._restarts[slot] += 1
         obs = self._bind_obs()
         if obs is not None:
             obs[1].inc()
@@ -665,16 +648,10 @@ class ShardedQueryServer:
         """End one worker and close its pipe; the caller holds its slot
         lock.
 
-        With ``handshake`` its final tallies are polled first, so
-        ``stats()`` keeps counting them after it is gone, and it gets
-        the shutdown handshake.  A worker still alive after that is
-        terminated.
+        With ``handshake`` it is asked to shut down first; a worker
+        still alive after that is terminated.
         """
         if handshake:
-            polled = self._poll_stats_locked(worker)
-            if polled is not None:
-                for name, value in polled.items():
-                    self._final_worker_stats[name] += value
             try:
                 worker.conn.send_bytes(bytes((_OP_SHUTDOWN,)))
                 if worker.conn.poll(_LIFECYCLE_TIMEOUT):
@@ -706,56 +683,24 @@ class ShardedQueryServer:
         )
 
     def health(self) -> FleetHealth:
-        """Fleet liveness: slot count, live processes, respawns, frames."""
-        with self._stats_lock:
-            restarts = self._restarts
+        """Fleet liveness: slot count, live processes, and per-slot
+        respawns and frames since construction."""
         return FleetHealth(
             self.processes,
             self.workers_alive(),
-            restarts,
-            tuple(worker.frames for worker in self._workers),
+            sum(self._restarts),
+            tuple(self._frames),
         )
 
     def stats(self) -> ServerStats:
-        """Fleet-wide :class:`ServerStats`.
+        """Fleet-wide :class:`ServerStats`, summed from the parent's
+        books without a lock, a pipe or a slot lock.
 
-        Pair tallies (requests / responses / errors / overloads) and
-        the width percentiles are the parent's own; cancelled pairs,
-        cache hits, batch counts, and coalesced pairs are polled from
-        each live worker's pipeline and summed (a respawned worker
-        restarts its share from zero).
+        Exact once the fleet is quiet, across respawns and a
+        non-draining stop alike.  ``cancelled`` stays 0: a frame cut
+        short by ``stop(drain=False)`` fails and counts as errors.
         """
-        with self._stats_lock:
-            snapshot = dict(self._stats)
-        summed = {name: self._final_worker_stats[name] for name in _SUMMED}
-        for worker in self._workers:
-            polled = self._poll_stats(worker)
-            if polled is not None:
-                for name in _SUMMED:
-                    summed[name] += polled[name]
-        hist = self._width_hist
-        return ServerStats(
-            **summed,
-            batch_width_p50=hist.percentile(0.50) or 0.0,
-            batch_width_p95=hist.percentile(0.95) or 0.0,
-            **snapshot,
-        )
-
-    def _poll_stats(self, worker: _Worker) -> Optional[dict]:
-        with worker.lock:
-            return self._poll_stats_locked(worker)
-
-    def _poll_stats_locked(self, worker: _Worker) -> Optional[dict]:
-        """Poll one worker's tallies; the caller holds its slot lock."""
-        try:
-            worker.conn.send_bytes(bytes((_OP_STATS,)))
-            if not worker.conn.poll(_LIFECYCLE_TIMEOUT):
-                return None  # pragma: no cover - wedged worker
-            frame = worker.conn.recv_bytes()
-        except (EOFError, BrokenPipeError, OSError):
-            return None  # dead worker; the next frame respawns it
-        unpacked = struct.unpack(_STATS_PACK, frame[1:])
-        return dict(zip(_STATS_FIELDS, unpacked))
+        return _snapshot(self._books, self._width_hist)
 
     def queue_depth(self) -> int:
         """Pairs currently in flight across the fleet."""
@@ -766,6 +711,8 @@ class ShardedQueryServer:
         registry = _get_registry()
         if registry is not self._obs_registry:
             if registry.enabled:
+                for name, slot in _FED_COUNTERS:
+                    registry.counter(name).feed(self._books.cells, slot)
                 gauges = {}
 
                 def worker_counter(slot: int):

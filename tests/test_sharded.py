@@ -13,12 +13,19 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 
 import pytest
 
 from repro.core import pruned_landmark_labeling
 from repro.graphs import Graph, random_sparse_graph
 from repro.obs.catalog import (
+    SERVE_BATCH_SUBMISSIONS,
+    SERVE_BATCHES,
+    SERVE_CACHE_HITS,
+    SERVE_CACHE_MISSES,
+    SERVE_OVERLOADS,
+    SERVE_REQUESTS,
     SERVE_WORKER_BATCHES,
     SERVE_WORKER_RESTARTS,
     SERVE_WORKERS_ALIVE,
@@ -58,6 +65,18 @@ def server(built):
     fleet.start()
     yield fleet
     fleet.stop()
+
+
+def _one_pair_five_times(flat):
+    """A started 1-process fleet that served one pair 5 times: one
+    dispatched group, then 4 cache hits."""
+    fleet = ShardedQueryServer(
+        HubLabelOracle(flat, backend="flat"), processes=1
+    )
+    fleet.start()
+    for _ in range(5):
+        fleet.submit(0, 2).result()
+    return fleet
 
 
 class TestAnswers:
@@ -284,3 +303,93 @@ class TestLifecycle:
             if counter is not None:
                 total += counter.value
         assert total == 8
+
+
+class TestParentBooks:
+    """The fleet's tallies are kept by the parent, from the frames it
+    sees: no worker takes its share with it, and reading them waits on
+    nothing."""
+
+    def test_respawn_keeps_the_dead_workers_share(self, built):
+        _, _, flat = built
+        fleet = _one_pair_five_times(flat)
+        try:
+            victim = fleet._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            fleet.submit(0, 2).result()  # the fresh worker's cold cache
+            stats = fleet.stats()
+            assert fleet.health().restarts == 1
+        finally:
+            fleet.stop()
+        assert stats.cache_hits == 4
+        assert stats.batches == 2
+        assert stats.coalesced == 2
+        assert stats.requests == stats.responses == 6
+
+    def test_stats_touch_no_pipe_and_no_slot_lock(self, built, monkeypatch):
+        _, _, flat = built
+        fleet = ShardedQueryServer(
+            HubLabelOracle(flat, backend="flat"), processes=2
+        )
+        fleet.start()
+        try:
+            fleet.submit(0, 2).result()
+            sent = []
+            for worker in fleet._workers:
+                monkeypatch.setattr(worker.conn, "send_bytes", sent.append)
+            held = fleet._workers[0].lock
+            read = []
+            held.acquire()
+            try:
+                reader = threading.Thread(
+                    target=lambda: read.append(fleet.stats())
+                )
+                reader.start()
+                reader.join(timeout=2.0)
+                assert not reader.is_alive(), "stats() waited on a slot"
+            finally:
+                held.release()
+            reader.join(timeout=30)
+            assert sent == []
+            assert read[0].requests == read[0].responses == 1
+        finally:
+            monkeypatch.undo()
+            fleet.stop()
+
+    def test_cancelling_stop_keeps_a_busy_workers_share(self, built):
+        _, _, flat = built
+        fleet = _one_pair_five_times(flat)
+        busy = fleet._workers[0]
+        busy.lock.acquire()
+        try:
+            fleet.stop(drain=False)
+        finally:
+            busy.lock.release()
+            busy.conn.close()  # the frame's thread would close it
+        stats = fleet.stats()
+        assert stats.cache_hits == 4
+        assert stats.batches == 1
+        assert stats.requests == stats.responses == 5
+
+    def test_serve_counters_read_the_fleets_books(
+        self, built, server, metrics_registry
+    ):
+        graph, _, _ = built
+        server.submit_batch([0, 1, 2], [3, 4, 5]).result()
+        server.submit_batch([0, 1, 2], [3, 4, 5]).result()
+        for u in range(6):
+            server.submit(u, (u + 7) % graph.num_vertices).result()
+        stats = server.stats()
+        assert stats.requests == 12
+        assert stats.cache_hits + metrics_registry.get(
+            SERVE_CACHE_MISSES
+        ).value == 12
+        for name, want in (
+            (SERVE_REQUESTS, stats.requests),
+            (SERVE_CACHE_HITS, stats.cache_hits),
+            (SERVE_OVERLOADS, stats.overloads),
+            (SERVE_BATCHES, stats.batches),
+            (SERVE_BATCH_SUBMISSIONS, stats.batches),
+        ):
+            assert metrics_registry.get(name).value == want, name
