@@ -22,38 +22,52 @@ garbage.  Envelope layout, all integers big-endian::
 
     offset  size  field
     0       4     magic  b"RHL\\x01"  (format marker)
-    4       1     format version      (1 = bit stream, 2-4 = flat arrays)
+    4       1     format version      (1 = bit stream, 2-5 = flat arrays)
     5       8     num_vertices        (redundant with payload; checked)
     13      8     payload length in bytes
     21      4     CRC32 of payload
     25      ...   payload
 
 Version-1 payloads are the legacy bit stream (8-byte bit count + bits).
-Version-4 payloads (:func:`flat_labeling_to_bytes` /
+Version-5 payloads (:func:`flat_labeling_to_bytes` /
 :func:`flat_labeling_from_bytes`) carry a
-:class:`~repro.perf.flat.FlatHubLabeling` as its own arrays, raw and
-little-endian, each starting 8-byte aligned in the envelope::
+:class:`~repro.perf.flat.FlatHubLabeling` as its own arrays -- the
+tail's CSR triple, then the dense part -- raw and little-endian, each
+starting 8-byte aligned in the envelope::
 
     1                 dist tier tag  (1 = uint16, 2 = uint32, 3 = float64)
     1                 hub width in bytes  (2 = uint16, 4 = int32)
-    8                 total entry count T  (big-endian, like the header)
-    5                 zero padding (the offsets start at envelope byte 40)
-    8 * (n + 1)       offsets  (int64)
-    h * T             hub ids  (h = 2 or 4 bytes, per the width)
+    8                 tail entry count T  (big-endian, like the header)
+    8                 dense width K  (big-endian)
+    8                 dense entry count E  (big-endian)
+    5                 zero padding (the offsets start at envelope byte 56)
+    8 * (n + 1)       tail offsets  (int64)
+    h * T             tail hub ids  (h = 2 or 4 bytes, per the width)
     (-h * T) % 8      zero padding
-    w * T             distances (w = 2, 4 or 8 bytes, per the tag)
+    w * T             tail distances (w = 2, 4 or 8 bytes, per the tag)
+    (-w * T) % 8      zero padding
+    h * K             dense hub ids, ascending
+    (-h * K) % 8      zero padding
+    w * 8 * t * n     the n x K matrix D in t = ceil(K / 8) tiles: tile
+                      j holds each vertex's cells of columns 8j..8j+7
+                      in turn; the tier's sentinel where a vertex lacks
+                      the hub and in the last tile's unused lanes
 
 The hub width is the store's hub tier, which follows from ``n``
 (``uint16`` when ``n <= 2**16``); a width that does not match ``n``'s
-tier is corrupt.  An ``mmap`` of the file or a shared-memory copy of
-the blob *is* a store (:func:`flat_labeling_view`), and
-serialize/load are O(bytes) copies -- the format behind the
-persistent label cache (:mod:`repro.perf.cache`).
+tier is corrupt, and so is a dense part on the ``uint32`` tier.  An
+``mmap`` of the file or a shared-memory copy of the blob *is* a store
+(:func:`flat_labeling_view`), dense part included, and serialize/load
+are O(bytes) copies -- the format behind the persistent label cache
+(:mod:`repro.perf.cache`).
 
-Two earlier flat payloads still load, one way, through the store's
-constructor, which narrows them into the version-4 layout; nothing
-writes them any more, and neither can be mapped:
+Three earlier flat payloads still load, one way, through the store's
+constructor, which narrows them into the version-5 layout and derives
+the dense part; nothing writes them any more, and none can be mapped:
 
+* version 4 -- one CSR triple of every entry: the version-5 layout
+  without the dense part (the tag, the width, the 8-byte count and 5
+  bytes of padding, so the offsets start at envelope byte 40);
 * version 3 -- the version-4 layout with always-int32 hubs and no
   width byte (the tag, the 8-byte count, 6 bytes of padding);
 * version 2 -- an 8-byte count, then int64 offsets, int64 hubs and
@@ -77,6 +91,7 @@ where decoding failed; malformed edge-list text raises
 from __future__ import annotations
 
 import json
+import math
 import sys
 import zlib
 from typing import TYPE_CHECKING, List, Tuple
@@ -112,13 +127,17 @@ ARTIFACT_MAGIC = b"RHL\x01"
 #: Envelope format version of the gap+gamma bit-stream payload.
 ARTIFACT_VERSION = 1
 #: Envelope format version of the flat-array payload.
-FLAT_ARTIFACT_VERSION = 4
+FLAT_ARTIFACT_VERSION = 5
 #: Flat payloads of earlier releases, still readable by
-#: :func:`flat_labeling_from_bytes`: int32 hubs (3), and int64 hubs
-#: with float64 dists (2).
+#: :func:`flat_labeling_from_bytes`: one CSR triple with tiered hubs
+#: (4), with int32 hubs (3), and with int64 hubs and float64 dists (2).
+_V4_FLAT_VERSION = 4
 _V3_FLAT_VERSION = 3
 _V2_FLAT_VERSION = 2
-_FLAT_VERSIONS = (FLAT_ARTIFACT_VERSION, _V3_FLAT_VERSION, _V2_FLAT_VERSION)
+_FLAT_VERSIONS = (
+    FLAT_ARTIFACT_VERSION, _V4_FLAT_VERSION, _V3_FLAT_VERSION,
+    _V2_FLAT_VERSION,
+)
 #: Envelope header size: magic + version + n + payload length + CRC32.
 _HEADER_SIZE = 4 + 1 + 8 + 8 + 4
 
@@ -303,7 +322,7 @@ def labeling_from_bytes(blob: bytes) -> HubLabeling:
     """Deserialize a labeling from envelope or legacy bytes.
 
     Accepts every format this module writes or wrote -- version-1 bit
-    streams, version-2 to version-4 flat arrays (thawed into the dict
+    streams, version-2 to version-5 flat arrays (thawed into the dict
     store), and legacy pre-envelope blobs.  Raises :class:`ArtifactCorruptError` (with the
     failing offset) on truncated, bit-flipped, or otherwise malformed
     input.
@@ -329,26 +348,43 @@ def labeling_from_bytes(blob: bytes) -> HubLabeling:
 
 
 # ----------------------------------------------------------------------
-# Flat-array payload (envelope version 4; versions 2 and 3 read one way)
+# Flat-array payload (envelope version 5; versions 2-4 read one way)
 # ----------------------------------------------------------------------
 #: Dist tier tag of a flat payload -> little-endian dtype.
 _DIST_TAGS = {1: np.dtype("<u2"), 2: np.dtype("<u4"), 3: np.dtype("<f8")}
-#: Payload bytes before the offsets: tag, hub width (version 4 only),
+#: Payload bytes before the offsets: tag, hub width, tail entry count,
+#: dense width, dense entry count, padding.
+_FLAT_PREFIX = 31
+#: The same for versions 3 and 4: tag, hub width (version 4 only),
 #: entry count, padding.
-_FLAT_PREFIX = 15
+_CSR_PREFIX = 15
+
+
+def _after(at: int, nbytes: int) -> int:
+    """Where the array after ``nbytes`` bytes at ``at`` starts: the
+    next 8-byte boundary of the envelope when ``at`` is on one."""
+    return at + nbytes + (-nbytes) % 8
 
 
 def _flat_layout(
-    n: int, total: int, hub_size: int, dist_size: int
-) -> Tuple[int, int, int]:
-    """Payload offsets of the hubs and the dists, and the payload size."""
+    n: int, total: int, width: int, hub_size: int, dist_size: int
+) -> Tuple[int, int, int, int, int]:
+    """Version-5 payload offsets of the tail hubs, the tail dists, the
+    dense hubs and the dense tiles, and the payload size."""
+    from ..perf.kernels import dense_shape
+
     hubs_at = _FLAT_PREFIX + 8 * (n + 1)
-    dists_at = hubs_at + hub_size * total + (-hub_size * total) % 8
-    return hubs_at, dists_at, dists_at + dist_size * total
+    dists_at = _after(hubs_at, hub_size * total)
+    dense_hubs_at = _after(dists_at, dist_size * total)
+    dense_at = _after(dense_hubs_at, hub_size * width)
+    return (
+        hubs_at, dists_at, dense_hubs_at, dense_at,
+        dense_at + dist_size * math.prod(dense_shape(width, n)),
+    )
 
 
 def flat_labeling_to_bytes(flat: "FlatHubLabeling") -> bytes:
-    """Serialize a flat labeling as a version-4 enveloped artifact.
+    """Serialize a flat labeling as a version-5 enveloped artifact.
 
     The payload is the store's arrays verbatim (little-endian), so both
     directions are O(bytes) copies -- no per-entry coding.  The result
@@ -357,26 +393,28 @@ def flat_labeling_to_bytes(flat: "FlatHubLabeling") -> bytes:
     :func:`labeling_from_bytes`.
     """
     offsets, hubs, dists = flat.arrays()
-    total = flat.total_size()
+    dense_hubs, dense = flat.dense()
+    n, total, width = flat.num_vertices, len(hubs), len(dense_hubs)
     tag = next(t for t, dtype in _DIST_TAGS.items() if dtype == dists.dtype)
-    hubs_at, dists_at, size = _flat_layout(
-        flat.num_vertices, total, hubs.itemsize, dists.itemsize
-    )
+    *ats, size = _flat_layout(n, total, width, hubs.itemsize, dists.itemsize)
     blob = bytearray(_HEADER_SIZE + size)
     payload = memoryview(blob)[_HEADER_SIZE:]
     payload[0] = tag
     payload[1] = hubs.itemsize
     payload[2:10] = total.to_bytes(8, "big")
-    for at, values, dtype in (
-        (_FLAT_PREFIX, offsets, "<i8"),
-        (hubs_at, hubs, hubs.dtype.newbyteorder("<")),
-        (dists_at, dists, _DIST_TAGS[tag]),
+    payload[10:18] = width.to_bytes(8, "big")
+    payload[18:26] = (flat.total_size() - total).to_bytes(8, "big")
+    hub = hubs.dtype.newbyteorder("<")
+    for at, values, dtype in zip(
+        (_FLAT_PREFIX, *ats),
+        (offsets, hubs, dists, dense_hubs, dense),
+        ("<i8", hub, _DIST_TAGS[tag], hub, _DIST_TAGS[tag]),
     ):
         raw = np.ascontiguousarray(values, dtype=dtype).view(np.uint8)
-        payload[at : at + raw.size] = raw
+        payload[at : at + raw.size] = raw.reshape(-1)
     blob[:4] = ARTIFACT_MAGIC
     blob[4] = FLAT_ARTIFACT_VERSION
-    blob[5:13] = flat.num_vertices.to_bytes(8, "big")
+    blob[5:13] = n.to_bytes(8, "big")
     blob[13:21] = size.to_bytes(8, "big")
     blob[21:25] = (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
     return bytes(blob)
@@ -389,21 +427,23 @@ def _flat_payload_error(message: str, at: int) -> ArtifactCorruptError:
 def _decode_flat(
     version: int, declared_n: int, payload, *, validate: bool = True
 ) -> "FlatHubLabeling":
-    """A store over a version-4 payload (zero copy), or a version-2 or
-    version-3 payload narrowed into one."""
+    """A store over a version-5 payload (zero copy), or a version-2 to
+    version-4 payload narrowed and split into one."""
     from ..perf.flat import FlatHubLabeling
-    from ..perf.kernels import hub_dtype
+    from ..perf.kernels import dense_shape, hub_dtype
 
     length = len(payload)
+    n = declared_n
+    width = entries = 0
     if version == _V2_FLAT_VERSION:
         prefix = 8
         total = int.from_bytes(payload[:8], "big") if length >= 8 else 0
-        hubs_at = 8 + 8 * (declared_n + 1)
+        hubs_at = 8 + 8 * (n + 1)
         dists_at = hubs_at + 8 * total
         expected = dists_at + 8 * total
         dtypes = ("<i8", "<i8", "<f8")
     else:
-        prefix = _FLAT_PREFIX
+        prefix = _CSR_PREFIX if version != FLAT_ARTIFACT_VERSION else _FLAT_PREFIX
         tag = payload[0] if length else 0
         if length and tag not in _DIST_TAGS:
             raise _flat_payload_error(f"unknown dist tier tag {tag}", 0)
@@ -411,24 +451,32 @@ def _decode_flat(
             hub = np.dtype("<i4")
             count_at = 1
         else:
-            width = payload[1] if length > 1 else 0
-            hub = hub_dtype(declared_n).newbyteorder("<")
-            if length > 1 and width != hub.itemsize:
+            hub_width = payload[1] if length > 1 else 0
+            hub = hub_dtype(n).newbyteorder("<")
+            if length > 1 and hub_width != hub.itemsize:
                 raise _flat_payload_error(
-                    f"hub width {width} does not match the {hub.name} hub "
-                    f"tier of {declared_n} vertices",
+                    f"hub width {hub_width} does not match the {hub.name} "
+                    f"hub tier of {n} vertices",
                     1,
                 )
             count_at = 2
-        total = (
-            int.from_bytes(payload[count_at : count_at + 8], "big")
-            if length >= count_at + 8
+        total, width, entries = (
+            int.from_bytes(payload[at : at + 8], "big")
+            if length >= at + 8
             else 0
+            for at in (count_at, 10, 18)
         )
-        dtypes = ("<i8", hub, _DIST_TAGS.get(tag, _DIST_TAGS[1]))
-        hubs_at, dists_at, expected = _flat_layout(
-            declared_n, total, hub.itemsize, dtypes[2].itemsize
-        )
+        dist = _DIST_TAGS.get(tag, _DIST_TAGS[1])
+        dtypes = ("<i8", hub, dist)
+        if version == FLAT_ARTIFACT_VERSION:
+            hubs_at, dists_at, dense_hubs_at, dense_at, expected = (
+                _flat_layout(n, total, width, hub.itemsize, dist.itemsize)
+            )
+        else:
+            width = entries = 0
+            hubs_at = prefix + 8 * (n + 1)
+            dists_at = _after(hubs_at, hub.itemsize * total)
+            expected = dists_at + dist.itemsize * total
     if length < prefix:
         raise _flat_payload_error(
             f"flat payload shorter than its {prefix}-byte prefix", length
@@ -436,23 +484,43 @@ def _decode_flat(
     if length != expected:
         raise _flat_payload_error(
             f"flat payload is {length} bytes, {expected} expected "
-            f"for {declared_n} vertices and {total} entries",
+            f"for {n} vertices, {total} tail entries and {width} dense "
+            "columns",
             min(length, expected),
         )
     arrays = [
         np.frombuffer(payload, dtype=dtype, count=count, offset=at)
         for dtype, count, at in zip(
-            dtypes, (declared_n + 1, total, total), (prefix, hubs_at, dists_at)
+            dtypes, (n + 1, total, total), (prefix, hubs_at, dists_at)
         )
     ]
-    if sys.byteorder == "big":  # pragma: no cover - exotic platforms
-        # No zero-copy view exists across a byte-order mismatch; one
-        # conversion copy beats serving byte-swapped garbage.
-        arrays = [values.astype(values.dtype.newbyteorder("=")) for values in arrays]
+    if version == FLAT_ARTIFACT_VERSION:
+        arrays.append(
+            np.frombuffer(payload, dtype=hub, count=width, offset=dense_hubs_at)
+        )
+        tiles = dense_shape(width, n)
+        arrays.append(
+            np.frombuffer(
+                payload, dtype=dist, count=math.prod(tiles), offset=dense_at
+            ).reshape(tiles)
+        )
+    # Stores hold native byte order: on a little-endian host a relabelling
+    # view (an explicit "<" dtype has no memoryview format, and the
+    # dynamic repair iterates memoryviews of the store).  Elsewhere no
+    # zero-copy view exists across a byte-order mismatch; one conversion
+    # copy beats serving byte-swapped garbage.
+    arrays = [
+        values.view(values.dtype.newbyteorder("="))
+        if sys.byteorder == "little"
+        else values.astype(values.dtype.newbyteorder("="))
+        for values in arrays
+    ]
     try:
         if version != FLAT_ARTIFACT_VERSION:
             return FlatHubLabeling(*arrays, validate=True)
-        return FlatHubLabeling.from_buffers(*arrays, validate=validate)
+        return FlatHubLabeling.from_buffers(
+            *arrays, dense_entries=entries, validate=validate
+        )
     except ValueError as exc:
         raise _flat_payload_error(
             f"flat payload failed structural validation ({exc})", prefix
@@ -516,23 +584,23 @@ def flat_labeling_view(
 ) -> "FlatHubLabeling":
     """A zero-copy :class:`FlatHubLabeling` over an enveloped buffer.
 
-    The buffer must hold a version-4 (flat-array) envelope; the store's
+    The buffer must hold a version-5 (flat-array) envelope; the store's
     arrays are read-only NumPy views straight into it -- nothing is
     deserialized, so opening a memory-mapped artifact costs O(pages
     touched), not O(entries).  Validation is tiered to match:
 
     * the **header** (magic, version, lengths, dist tier tag, hub
-      width) is always checked -- O(1);
+      width, dense width against the tier) is always checked -- O(1);
     * the payload **CRC32** runs only with ``verify_crc=True`` (or
       later, via :func:`verify_envelope_crc` on the same buffer);
     * the full **structural** walk (offsets monotone, hub ids in range
-      and ascending, distances inside their tier) runs only with
-      ``validate=True``.
+      and ascending, dense hubs in no run, distances inside their tier,
+      the dense entry count) runs only with ``validate=True``.
 
     The returned store keeps ``buffer`` alive for as long as it is
-    queryable.  Version-2 and version-3 artifacts hold wider arrays than
-    a store, so they cannot be mapped; :func:`flat_labeling_from_bytes`
-    narrows them.
+    queryable.  Version-2 to version-4 artifacts hold no dense part and
+    version 2 and 3 wider arrays than a store, so none can be mapped;
+    :func:`flat_labeling_from_bytes` narrows and splits them.
     """
     view = memoryview(buffer)
     version, declared_n, payload_len, _ = _open_envelope_header(view)
@@ -556,9 +624,9 @@ def flat_labeling_view(
 def flat_labeling_from_bytes(blob: bytes) -> "FlatHubLabeling":
     """Deserialize a :class:`FlatHubLabeling` from any artifact flavor.
 
-    Version-4 blobs become a validated store over ``blob`` itself (no
-    copy); version-2 and version-3 blobs are narrowed into the
-    version-4 layout;
+    Version-5 blobs become a validated store over ``blob`` itself (no
+    copy, nothing derived); version-2 to version-4 blobs are narrowed
+    into the version-5 layout and split by the store's constructor;
     version-1 and legacy bit streams are decoded and frozen, so
     existing artifacts keep working.  Raises
     :class:`ArtifactCorruptError` exactly like

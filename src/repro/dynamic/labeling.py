@@ -80,8 +80,8 @@ from ..obs.catalog import (
 from ..obs.registry import get_registry
 from ..obs.spans import span
 from ..perf.build import build_flat_labels
-from ..perf.flat import FlatHubLabeling
-from ..perf.kernels import dist_dtype
+from ..perf.flat import FlatHubLabeling, insert_entries, merge_dense, retier
+from ..perf.kernels import DENSE_TIERS, SENTINELS, TILE, cell_index, dist_dtype
 
 __all__ = ["DynamicHubLabeling", "RepairReport"]
 
@@ -342,7 +342,9 @@ class DynamicHubLabeling:
             survivors, removed = self._invalidate(affected)
             stages.done("invalidate")
         else:
-            survivors, removed = self._store.arrays(), 0
+            survivors, removed = (
+                (*self._store.arrays(), *self._store.dense()), 0
+            )
         swept, additions = self._resweep(survivors, affected, edge)
         stages.done("resweep")
         added = 0
@@ -354,14 +356,17 @@ class DynamicHubLabeling:
         return swept, removed, added, False
 
     def _invalidate(self, affected: List[int]):
-        """The CSR minus every entry whose hub is affected.
+        """The store minus every entry whose hub is affected.
 
-        Returns ``((offsets, hubs, dists), removed)``; with nothing
-        affected, the store's own read-only views.
+        Returns ``((offsets, hubs, dists, dense_hubs, dense), removed)``:
+        the tail without those entries and the dense part with the
+        affected hubs' columns emptied -- with nothing affected, the
+        store's own read-only views.
         """
         offsets, hubs, dists = self._store.arrays()
+        dense_hubs, dense = self._store.dense()
         if not affected:
-            return (offsets, hubs, dists), 0
+            return (offsets, hubs, dists, dense_hubs, dense), 0
         n = len(offsets) - 1
         stale = np.zeros(n, dtype=bool)
         stale[affected] = True
@@ -369,7 +374,15 @@ class DynamicHubLabeling:
         owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))[keep]
         kept = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=n), out=kept[1:])
-        return (kept, hubs[keep], dists[keep]), len(hubs) - len(owner)
+        removed = len(hubs) - len(owner)
+        gone = np.flatnonzero(stale[dense_hubs])
+        if len(gone):
+            sentinel = SENTINELS[dense.dtype]
+            columns = gone // TILE, slice(None), gone % TILE
+            dense = dense.copy()
+            removed += int(np.count_nonzero(dense[columns] < sentinel))
+            dense[columns] = sentinel
+        return (kept, hubs[keep], dists[keep], dense_hubs, dense), removed
 
     def _resweep(self, survivors, affected: List[int], edge):
         """Pruned sweeps over the survivors.
@@ -389,20 +402,28 @@ class DynamicHubLabeling:
         the one resumed at ``u`` never passes ``v``, so the two
         distances sum to at least twice it.
         """
-        offsets, hubs, dists = survivors
+        offsets, hubs, dists, dense_hubs, dense = survivors
         graph = self._graph
         if dists.dtype.kind == "f" and (dists == np.floor(dists)).all():
             dists = dists.astype(np.int64)
         # Memoryview slices iterate as Python numbers (ints for the
-        # integer dist tiers), so a row thaws without a copy or a
-        # per-row NumPy call.
+        # integer dist tiers), so a tail run thaws without a copy or a
+        # per-row NumPy call; the dense cells a vertex holds join it.
         run_hubs, run_dists = memoryview(hubs), memoryview(dists)
         starts = offsets.tolist()
         rows: List[Optional[Dict[int, float]]] = [None] * graph.num_vertices
+        columns = dense_hubs.tolist()
+        sentinel = SENTINELS[dense.dtype]
 
         def thaw(x: int) -> Dict[int, float]:
             a, b = starts[x], starts[x + 1]
             row = rows[x] = dict(zip(run_hubs[a:b], run_dists[a:b]))
+            if columns:
+                row.update(
+                    (hub, cell)
+                    for hub, cell in zip(columns, dense[:, x].ravel().tolist())
+                    if cell < sentinel
+                )
             return row
 
         rank = self._rank
@@ -432,18 +453,37 @@ class DynamicHubLabeling:
     def _splice(self, survivors, additions):
         """Merge the sweeps' writes into the survivors as a fresh store.
 
-        A write whose ``(vertex, hub)`` key a survivor holds replaces
-        that survivor's distance; the others are inserted in key
-        order.  The merged distances take the wider of the survivors'
-        dist tier and the writes' (a repair can push ``max_dist``
-        across a tier); the store then narrows them to the tightest
-        tier.  Returns ``(store, overwritten, added)``.
+        The store keeps the survivors' dense hubs: a write to one of
+        them lands in its column, overwriting or filling the vertex's
+        cell.  In the tail, a write whose ``(vertex, hub)`` key a
+        survivor holds replaces that survivor's distance; the others
+        are inserted in key order.  The merged distances take the wider
+        of the survivors' dist tier and the writes', then narrow to the
+        tightest tier holding them all; on the ``uint32`` tier, which
+        holds no dense part, the columns fold back into the tail.
+        Returns ``(store, overwritten, added)``.
         """
-        offsets, hubs, dists = survivors
+        offsets, hubs, dists, dense_hubs, dense = survivors
         n = len(offsets) - 1
         add_v = np.array(additions[0], dtype=np.int64)
         add_h = np.array(additions[1], dtype=hubs.dtype)
         add_d = np.array(additions[2])
+        written = len(add_v)
+        wide = np.promote_types(dists.dtype, dist_dtype(add_d))
+        overwritten = 0
+        if len(dense_hubs):
+            column = np.full(n, -1, dtype=np.int64)
+            column[dense_hubs] = np.arange(len(dense_hubs))
+            columns = column[add_h]
+            into = columns >= 0
+            dense = retier(dense, wide)
+            cells = cell_index(columns[into], add_v[into], n)
+            overwritten += int(
+                np.count_nonzero(dense.reshape(-1)[cells] < SENTINELS[wide])
+            )
+            dense.reshape(-1)[cells] = add_d[into]
+            keep = ~into
+            add_v, add_h, add_d = add_v[keep], add_h[keep], add_d[keep]
         keys = add_v * n + add_h
         order = np.argsort(keys)
         keys, add_v, add_h, add_d = (
@@ -455,29 +495,39 @@ class DynamicHubLabeling:
         at = np.searchsorted(held, keys)
         hit = at < len(held)
         hit[hit] = held[at[hit]] == keys[hit]
-        dists = dists.astype(np.promote_types(dists.dtype, dist_dtype(add_d)))
+        dists = dists.astype(wide)
         dists[at[hit]] = add_d[hit]
+        overwritten += int(hit.sum())
         new = ~hit
-        inserted = int(new.sum())
-        if inserted:
-            # Each insertion lands after the survivors below its key
-            # and the insertions before it.
-            at = at[new] + np.arange(inserted)
-            from_survivors = np.ones(len(hubs) + inserted, dtype=bool)
-            from_survivors[at] = False
-
-            def merge(kept, fresh):
-                out = np.empty(len(from_survivors), dtype=kept.dtype)
-                out[at] = fresh
-                out[from_survivors] = kept
-                return out
-
-            hubs, dists = merge(hubs, add_h[new]), merge(dists, add_d[new])
-            grown = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(add_v[new], minlength=n), out=grown[1:])
-            offsets = offsets + grown
-        store = FlatHubLabeling(offsets, hubs, dists, validate=False)
-        return store, len(keys) - inserted, len(keys)
+        if new.any():
+            offsets, hubs, dists = insert_entries(
+                offsets, hubs, dists, at[new],
+                add_v[new], add_h[new], add_d[new],
+            )
+        tier = dist_dtype(dists)
+        if len(dense_hubs):
+            if dense.dtype.kind == "f":  # the one dense tier that narrows
+                held_cells = dense[dense < SENTINELS[dense.dtype]]
+                tier = np.promote_types(tier, dist_dtype(held_cells))
+            else:
+                tier = np.promote_types(tier, dense.dtype)
+            if tier not in DENSE_TIERS:  # uint32: sentinel sums wrap
+                offsets, hubs, dists = merge_dense(
+                    offsets, hubs, dists, dense_hubs, dense
+                )
+                dense_hubs, dense = dense_hubs[:0], dense[:0]
+        if dense.dtype != tier:
+            dense = retier(dense, tier)
+        store = FlatHubLabeling.from_buffers(
+            offsets,
+            hubs,
+            dists.astype(tier, copy=False),
+            dense_hubs,
+            dense,
+            dense_entries=int(np.count_nonzero(dense < SENTINELS[tier])),
+            validate=False,
+        )
+        return store, overwritten, written
 
     def _rebuild(self) -> None:
         """Replace the store with a full build and reset the budget."""

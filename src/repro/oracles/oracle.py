@@ -20,6 +20,7 @@ elementary operations reported by each query.
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 import threading
 from dataclasses import dataclass
@@ -71,10 +72,17 @@ class QueryOutcome:
 
 def _check_query_domain(num_vertices: int, u: int, v: int) -> None:
     """Shared vertex-id validation: every oracle rejects ids outside
-    ``0..n-1`` with :class:`DomainError` instead of wrapping around
-    (negative ids) or raising a raw IndexError."""
+    ``0..n-1``, and ids that are not integers (``1.5``, ``'3'``), with
+    :class:`DomainError` instead of wrapping around (negative ids),
+    truncating, or raising a raw IndexError."""
     for vertex in (u, v):
-        if not 0 <= vertex < num_vertices:
+        try:
+            inside = 0 <= operator.index(vertex) < num_vertices
+        except TypeError:
+            raise DomainError(
+                f"vertex {vertex!r} is not an integer vertex id"
+            ) from None
+        if not inside:
             raise DomainError(
                 f"vertex {vertex} outside 0..{num_vertices - 1}"
             )

@@ -69,7 +69,7 @@ from ..obs.catalog import (
 from ..obs.registry import get_registry
 from ..obs.spans import span
 from .flat import FlatHubLabeling
-from .kernels import hub_dtype
+from .kernels import cell_index, dense_cells, dense_hubs, dist_dtype, hub_dtype
 
 __all__ = ["BUILDER_VERSION", "build_flat_labels", "bitparallel_available"]
 
@@ -231,6 +231,7 @@ def _bitparallel_flat(
     # hub RANKS (strictly ascending within each run).
     lab_off = np.zeros(n, dtype=np.int64)
     lab_len = np.zeros(n, dtype=np.int64)
+    rank_counts = np.zeros(n, dtype=np.int64)  # entries per hub rank
     cap = np.zeros(n, dtype=np.int64)
     store_hub = np.empty(0, dtype=np.int32)
     store_dist = np.empty(0, dtype=np.int32)
@@ -451,19 +452,50 @@ def _bitparallel_flat(
         store_dist[dest_new] = d_new
         lab_len = new_len
         total += A
+        rank_counts[batch_start : batch_start + k] = np.bincount(
+            j_new, minlength=k
+        )
 
-    # Compact the runs, then map ranks -> vertex ids with each run
-    # re-sorted by hub id for the flat store's merge invariant (stable
-    # argsort on vertex-major keys).
+    # Compact the runs, then write the store's split: the dense part
+    # takes the entries of the most frequent hubs, and only the tail has
+    # its ranks mapped to vertex ids and each run re-sorted by hub id
+    # for the merge invariant (stable argsort on vertex-major keys).
     lab_off, store_hub, store_dist = _relayout(
         store_hub, store_dist, lab_off, lab_len, total, lab_len
     )
+    tier = dist_dtype(store_dist)
+    counts = np.empty(n, dtype=np.int64)
+    counts[order_arr] = rank_counts
+    chosen = dense_hubs(counts, tier)
+    dense = dense_cells(len(chosen), n, tier)
+    tail_len = lab_len
+    if len(chosen):
+        # Each dense hub's rank maps to its column's cell of vertex 0.
+        rank = np.empty(n, dtype=np.int64)
+        rank[order_arr] = ar_n
+        first_cell = np.full(n, -1, dtype=np.int64)
+        first_cell[rank[chosen]] = cell_index(np.arange(len(chosen)), 0, n)
+        cells = first_cell[store_hub]
+        into = cells >= 0
+        # Every vertex holds its own entry, so no run is empty.
+        dense_len = np.add.reduceat(into, lab_off, dtype=np.int64)
+        cells = cells[into]
+        cells += np.repeat(cell_index(0, ar_n, n), dense_len)
+        dense.reshape(-1)[cells] = store_dist[into]
+        keep = ~into
+        store_hub, store_dist = store_hub[keep], store_dist[keep]
+        tail_len = lab_len - dense_len
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(tail_len, out=offsets[1:])
+    owner = np.repeat(ar_n, tail_len)
     hub_ids = order_arr.astype(hub_dtype(n))[store_hub]
-    owner = np.repeat(ar_n, lab_len)
     perm = np.argsort(owner * n + hub_ids, kind="stable")
-    return FlatHubLabeling(
-        np.append(lab_off, total),
+    return FlatHubLabeling.from_buffers(
+        offsets,
         hub_ids[perm],
-        store_dist[perm],
+        store_dist[perm].astype(tier),
+        chosen,
+        dense,
+        dense_entries=total - int(offsets[-1]),
         validate=False,
     )

@@ -13,7 +13,7 @@ fingerprint of everything the labeling depends on:
   and the artifact format version, so algorithm or format changes
   invalidate old entries instead of serving stale labels.
 
-Artifacts are the checksummed version-4 envelope of
+Artifacts are the checksummed version-5 envelope of
 :mod:`repro.core.io` (the store's own arrays, little-endian), written atomically
 (temp file + ``os.replace``) so a crashed writer can never leave a
 half-written entry behind.  A corrupt or truncated artifact is detected

@@ -5,7 +5,7 @@ wants N worker processes answering queries over *one* copy of the CSR
 arrays.  This module provides the two operating-system primitives that
 make that free:
 
-* :class:`SharedLabelStore` -- the version-4 artifact envelope
+* :class:`SharedLabelStore` -- the version-5 artifact envelope
   (:mod:`repro.core.io`) copied once into a
   ``multiprocessing.shared_memory`` segment.  The parent creates and
   owns the segment; each worker attaches by name and builds a
@@ -218,7 +218,7 @@ class SharedLabelStore:
 class MappedLabelStore:
     """A flat label store served from an mmap'ed artifact file.
 
-    ``path`` must hold a version-4 envelope (what
+    ``path`` must hold a version-5 envelope (what
     :meth:`LabelCache.store <repro.perf.cache.LabelCache.store>` and
     ``repro build --save`` write).  The header is validated eagerly;
     the CRC is deferred to :meth:`verify`; label pages fault in as

@@ -42,21 +42,24 @@ def labeling_digest(store) -> str:
 
     Accepts either label store (:class:`~repro.core.hublabel.HubLabeling`
     dicts or :class:`~repro.perf.flat.FlatHubLabeling` arrays) and
-    hashes the same canonical byte stream for both: the store's
-    version-4 triple -- int64 offsets, hubs ascending per run in the
-    hub tier of ``n``, and the distances in their narrowest exact tier,
-    the two tiers tagged by dtype.  A
-    dict store is frozen into that triple first, so a dict store, its
-    flat freeze and an ``mmap`` or shared-memory view of the same
-    labeling share one digest, mirroring their byte-identical query
-    contract.  The arrays are hashed as raw buffers (three ``update``
-    calls).
+    hashes the same canonical byte stream for both: every entry as one
+    CSR triple (:meth:`~repro.perf.flat.FlatHubLabeling.csr`, the dense
+    part merged back into the runs) -- int64 offsets, hubs ascending
+    per run in the hub tier of ``n``, and the distances in their
+    narrowest exact tier, the two tiers tagged by dtype.  A dict store
+    is frozen first, so a dict store, its flat freeze and an ``mmap``
+    or shared-memory view of its version-5 artifact share one digest,
+    mirroring their byte-identical query contract; so does any store
+    holding the same entries under another dense part (a spliced store
+    keeps its input's).  The arrays are hashed as raw buffers (three
+    ``update`` calls); a store with a dense part is merged first, one
+    pass over its entries.
     """
-    if not hasattr(store, "arrays"):
+    if not hasattr(store, "csr"):
         from ..perf.flat import FlatHubLabeling
 
         store = FlatHubLabeling.from_labeling(store)
-    offsets, hubs, dists = store.arrays()
+    offsets, hubs, dists = store.csr()
     hasher = hashlib.sha256()
     hasher.update(
         f"csr4:n{store.num_vertices}:{hubs.dtype.str}:{dists.dtype.str}:".encode()

@@ -76,6 +76,7 @@ latency histogram take one observation per dispatched group.
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures._base import (
@@ -106,6 +107,7 @@ from ..obs.catalog import (
 )
 from ..obs.registry import Histogram
 from ..obs.registry import get_registry as _get_registry
+from ..perf.kernels import vertex_ids
 from ..runtime.errors import DomainError, ServerOverloadError
 from .cache import MISS, ResultCache
 
@@ -661,21 +663,28 @@ class QueryServer:
         Raises :class:`ServerOverloadError` when every admission shard
         is full -- the request was *not* accepted, back off and retry.
         Raises :class:`RuntimeError` when the server is not running.
-        An oracle failure (an out-of-domain pair, say) fails only this
+        An oracle failure (an out-of-domain pair or a vertex id that is
+        not an integer, say: :class:`DomainError`) fails only this
         future.
         """
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
         home, cell = self._slot()
         base, generation = self._keying
-        if base is not None and 0 <= u < base and 0 <= v < base:
-            key = u * base + v
-        else:
-            # Out-of-domain coordinates must never pack (they could
-            # alias a valid pair's integer): a tuple key, never merged
-            # with packed ones.
-            key = (u, v)
-            base = None
+        # Out-of-domain or non-integer coordinates must never pack
+        # (they could alias a valid pair's integer): a tuple key, never
+        # merged with packed ones, whose oracle call fails the future
+        # with DomainError.
+        try:
+            if base is not None and 0 <= u < base and 0 <= v < base:
+                key = u * base + v
+                if key.__class__ is not int:
+                    # NumPy integers pack; a float raises TypeError.
+                    key = operator.index(u) * base + operator.index(v)
+            else:
+                key, base = (u, v), None
+        except TypeError:  # a float or a string
+            key, base = (u, v), None
         future = _PairFuture(key, base)
         if self._cache_on:
             value = self._cache.get(key, generation)
@@ -701,8 +710,9 @@ class QueryServer:
         ``us`` / ``vs`` are equal-length sequences (numpy arrays ride
         the vectorized path with no conversion).  The batch is admitted
         whole or rejected whole with :class:`ServerOverloadError`;
-        out-of-domain vertices are rejected up front with
-        :class:`DomainError` when the oracle's vertex count is known.
+        vertex ids that are not integers, and out-of-domain vertices
+        when the oracle's vertex count is known, are rejected up front
+        with :class:`DomainError`.
         """
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
@@ -714,8 +724,8 @@ class QueryServer:
         """A batch ticket -- unique cache keys + pairs and the
         submission -> unique scatter map, all vectorized -- and the
         cache generation its keys belong to."""
-        us_arr = np.asarray(us, dtype=np.int64).reshape(-1)
-        vs_arr = np.asarray(vs, dtype=np.int64).reshape(-1)
+        us_arr = vertex_ids(us).reshape(-1)
+        vs_arr = vertex_ids(vs).reshape(-1)
         if us_arr.shape != vs_arr.shape:
             raise ValueError("us and vs must be the same length")
         base, generation = self._keying

@@ -63,6 +63,7 @@ from ..obs.catalog import (
 )
 from ..obs.registry import Histogram
 from ..obs.registry import get_registry as _get_registry
+from ..perf.kernels import vertex_ids
 from ..runtime.errors import DomainError, ServerOverloadError
 from .server import (
     _BATCH_SUBMISSIONS,
@@ -474,11 +475,9 @@ class ShardedQueryServer:
             raise RuntimeError(
                 "ShardedQueryServer is not running (call start())"
             )
-        us = np.array([u], dtype=np.int64)
-        vs = np.array([v], dtype=np.int64)
         future: Future = Future()
         try:
-            values = self._submit_arrays(us, vs)
+            values = self._submit_arrays(vertex_ids([u]), vertex_ids([v]))
         except ServerOverloadError:
             # Contract-matching: overload raises at submit, like the
             # in-process door...
@@ -497,8 +496,8 @@ class ShardedQueryServer:
             raise RuntimeError(
                 "ShardedQueryServer is not running (call start())"
             )
-        us_arr = np.asarray(us, dtype=np.int64).reshape(-1)
-        vs_arr = np.asarray(vs, dtype=np.int64).reshape(-1)
+        us_arr = vertex_ids(us).reshape(-1)
+        vs_arr = vertex_ids(vs).reshape(-1)
         if us_arr.shape != vs_arr.shape:
             raise ValueError("us and vs must be the same length")
         if us_arr.size == 0:

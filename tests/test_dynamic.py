@@ -22,8 +22,9 @@ import pathlib
 import sys
 import threading
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import pruned_landmark_labeling
@@ -49,6 +50,7 @@ from repro.obs.registry import get_registry
 from repro.oracles.oracle import HubLabelOracle
 from repro.perf.build import build_flat_labels
 from repro.perf.cache import LabelCache
+from repro.perf import kernels
 from repro.perf.flat import FlatHubLabeling
 from repro.serve import QueryServer, run_loadgen
 
@@ -519,6 +521,109 @@ class TestRepairEqualsRebuild:
         )
         dyn.apply(mutation_script(g, 5, seed=script_seed))
         _assert_answer_identical(dyn, "budget-mix")
+
+
+class TestDenseColumnRepair:
+    """Repair equals rebuild when the sweeps' writes land in dense
+    columns.  A one-column floor gives these small stores a dense part;
+    every splice keeps the input's dense hubs."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 1000),
+        script_seed=st.integers(0, 1000),
+        weights=st.sampled_from([None, 1, 0.5]),
+    )
+    def test_random_edits_keep_dense_hubs(self, graph_seed, script_seed, weights):
+        if weights is None:
+            g = random_sparse_graph(30, seed=graph_seed)
+        else:
+            # Integral (uint16) or fractional (float64) weights.
+            g = Graph(24)
+            for u, v, w in random_weighted_graph(24, 40, seed=graph_seed).edges():
+                g.add_edge(u, v, w * weights if weights != 1 else w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            dyn = DynamicHubLabeling(g, rebuild_fraction=1.0, staleness_budget=1e9)
+            dense_hubs = dyn.flat().dense()[0].tolist()
+            # About half these stores fill a tile of columns.
+            assume(dense_hubs)
+            for index, op in enumerate(
+                mutation_script(g, 4, seed=script_seed, keep_connected=False)
+            ):
+                dyn.apply(MutationScript(ops=(op,)))
+                assert dyn.flat().dense()[0].tolist() == dense_hubs
+                _assert_answer_identical(dyn, f"op {index} {op}")
+
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_writes_land_in_dense_columns(self, op):
+        g = random_sparse_graph(30, seed=11)
+        order = degree_order(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            dyn = DynamicHubLabeling(
+                g, order=order, rebuild_fraction=1.0, staleness_budget=1e9
+            )
+            before = dyn.flat().dense()[1].copy()
+            top = order[0]
+            if op == "insert":
+                far = max(
+                    (v for v in range(30) if not g.has_edge(top, v) and v != top),
+                    key=lambda v: dyn.query(top, v),
+                )
+                report = dyn.insert_edge(top, far)
+            else:
+                report = dyn.delete_edge(top, g.neighbor_ids(top)[0])
+            assert not report.rebuilt
+            after = dyn.flat().dense()[1]
+            assert dyn.flat().dense_width and not np.array_equal(before, after)
+            _assert_answer_identical(dyn, op)
+            assert dyn.flat().total_size() == sum(
+                dyn.flat().label_size(x) for x in range(30)
+            )
+
+    def test_a_write_past_uint16_folds_the_columns(self):
+        # K_8 fills a tile of columns; vertex 8 hangs off it by a
+        # weight-1 shortcut and a 9000 + 9000 detour.  Deleting the
+        # shortcut pushes distances past the uint16 tier, which holds a
+        # dense part, to uint32, which cannot.
+        g = Graph(10)
+        for u in range(8):
+            for v in range(u + 1, 8):
+                g.add_edge(u, v, 1)
+        g.add_edge(8, 9, 9000)
+        g.add_edge(9, 0, 9000)
+        g.add_edge(8, 1, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            dyn = DynamicHubLabeling(g, rebuild_fraction=1.0, staleness_budget=1e9)
+            assert dyn.flat().dense_width
+            assert not dyn.delete_edge(8, 1).rebuilt
+            flat = dyn.flat()
+            assert flat.arrays()[2].dtype.name == "uint32"
+            assert flat.dense_width == 0
+            _assert_answer_identical(dyn, "fold")
+            assert dyn.query(8, 0) == 18000
+
+
+class TestCacheHitRepair:
+    def test_a_store_loaded_from_the_cache_repairs(self, tmp_path):
+        # Artifact arrays are little-endian views; the repair iterates
+        # memoryviews of them, which need the native byte order.
+        g = random_sparse_graph(40, seed=4)
+        order = degree_order(g)
+        cache = LabelCache(tmp_path)
+        cache.store(g, order, build_flat_labels(g, order))
+        dyn = DynamicHubLabeling(
+            g, order=order, cache=cache, rebuild_fraction=1.0,
+            staleness_budget=1e9,
+        )
+        u, v = next(
+            (u, v) for u in range(40) for v in range(u + 1, 40)
+            if not g.has_edge(u, v)
+        )
+        assert not dyn.insert_edge(u, v).rebuilt
+        _assert_answer_identical(dyn, "cache hit")
 
 
 def _true_distances(graph):

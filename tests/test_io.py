@@ -150,7 +150,7 @@ class TestFlatArtifact:
 
 class TestV2Artifact:
     """A version-2 artifact written by an earlier release (int64 hubs,
-    float64 distances) loads one way into the version-4 layout."""
+    float64 distances) loads one way into the version-5 layout."""
 
     FIXTURE = pathlib.Path(__file__).parent / "data" / "flat_labels_v2.rhl"
 
@@ -181,7 +181,7 @@ class TestV2Artifact:
         thawed = labeling_from_bytes(blob)
         assert [(type(d), d) for d in (thawed.query(u, v) for u, v in pairs)] == expected
 
-    def test_cannot_be_mapped_and_resaves_as_v4(self):
+    def test_cannot_be_mapped_and_resaves_as_v5(self):
         from repro.core.io import (
             flat_labeling_from_bytes,
             flat_labeling_to_bytes,
@@ -193,7 +193,7 @@ class TestV2Artifact:
         with pytest.raises(ArtifactCorruptError, match="version 2"):
             flat_labeling_view(blob)
         resaved = flat_labeling_to_bytes(flat_labeling_from_bytes(blob))
-        assert resaved[4] == 4
+        assert resaved[4] == 5
         assert len(resaved) < len(blob)
         view = flat_labeling_view(resaved, verify_crc=True, validate=True)
         reference = self._reference()
@@ -202,8 +202,8 @@ class TestV2Artifact:
 
 
 class TestV3Artifact:
-    """A version-3 artifact written by the previous release (int32 hubs
-    at every ``n``) loads one way, its hubs narrowed into the version-4
+    """A version-3 artifact written by an earlier release (int32 hubs
+    at every ``n``) loads one way, its hubs narrowed into the version-5
     hub tier, and answers exactly as that release did."""
 
     FIXTURE = pathlib.Path(__file__).parent / "data" / "flat_labels_v3.rhl"
@@ -242,7 +242,7 @@ class TestV3Artifact:
         for v in range(self.N):
             assert flat.hubs(v) == thawed.hubs(v)
 
-    def test_cannot_be_mapped_and_resaves_as_v4(self):
+    def test_cannot_be_mapped_and_resaves_as_v5(self):
         from repro.core.io import (
             flat_labeling_from_bytes,
             flat_labeling_to_bytes,
@@ -255,9 +255,82 @@ class TestV3Artifact:
             flat_labeling_view(blob)
         flat = flat_labeling_from_bytes(blob)
         resaved = flat_labeling_to_bytes(flat)
-        assert resaved[4] == 4
+        assert resaved[4] == 5
         # 87 two-byte hubs pad to 176 bytes; as int32 they took 352.
-        assert len(blob) - len(resaved) == 352 - 176
+        # Version 5 adds 16 prefix bytes (dense width and entry count)
+        # and pads the 174 bytes of distances to 176.
+        assert len(blob) - len(resaved) == (352 - 176) - 16 - 2
+        view = flat_labeling_view(resaved, verify_crc=True, validate=True)
+        for v in range(self.N):
+            assert view.hubs(v) == flat.hubs(v)
+
+
+class TestV4Artifact:
+    """A version-4 artifact written by the previous release (one CSR
+    triple of every entry, hubs in the hub tier) loads one way, split by
+    the store's constructor, and answers exactly as that release did."""
+
+    FIXTURE = pathlib.Path(__file__).parent / "data" / "flat_labels_v4.rhl"
+    N = 26
+
+    @classmethod
+    def _graph(cls):
+        # The graph the fixture was built from: K(8, 12), whose twelve
+        # vertices each hold all eight hubs, beside a tree, so pairs
+        # across them are INF; 157 entries under degree_order.
+        graph = Graph(cls.N)
+        for u in range(8):
+            for v in range(8, 20):
+                graph.add_edge(u, v)
+        for u, v, w in random_tree(6, seed=3).edges():
+            graph.add_edge(20 + u, 20 + v, w)
+        return graph
+
+    def _pairs_and_expected(self):
+        reference = pruned_landmark_labeling(self._graph())
+        pairs = [(u, v) for u in range(self.N) for v in range(self.N)]
+        return pairs, [(type(d), d) for d in (reference.query(u, v) for u, v in pairs)]
+
+    @pytest.mark.parametrize("min_dense", [32, 1])
+    def test_loads_answer_identical(self, min_dense):
+        from repro.core.io import flat_labeling_from_bytes
+        from repro.perf import kernels
+
+        blob = self.FIXTURE.read_bytes()
+        assert blob[4] == 4
+        pairs, expected = self._pairs_and_expected()
+        with pytest.MonkeyPatch.context() as mp:
+            # A one-column floor lets the load derive a tile of columns.
+            mp.setattr(kernels, "_MIN_DENSE", min_dense)
+            flat = flat_labeling_from_bytes(blob)
+        assert (flat.dense_width > 0) == (min_dense == 1)
+        assert [a.dtype.name for a in flat.arrays()] == ["int64", "uint16", "uint16"]
+        assert flat.total_size() == 157
+        assert [(type(d), d) for d in flat.batch_query(pairs)] == expected
+        assert [(type(d), d) for d in (flat.query(u, v) for u, v in pairs)] == expected
+        assert flat.query(20, 22) == 3 and flat.query(0, 20) == INF
+        thawed = labeling_from_bytes(blob)
+        assert [(type(d), d) for d in (thawed.query(u, v) for u, v in pairs)] == expected
+        for v in range(self.N):
+            assert flat.hubs(v) == thawed.hubs(v)
+
+    def test_cannot_be_mapped_and_resaves_as_v5(self):
+        from repro.core.io import (
+            flat_labeling_from_bytes,
+            flat_labeling_to_bytes,
+            flat_labeling_view,
+        )
+        from repro.runtime.errors import ArtifactCorruptError
+
+        blob = self.FIXTURE.read_bytes()
+        with pytest.raises(ArtifactCorruptError, match="version 4"):
+            flat_labeling_view(blob)
+        flat = flat_labeling_from_bytes(blob)
+        resaved = flat_labeling_to_bytes(flat)
+        assert resaved[4] == 5
+        # With K = 0 version 5 is version 4 plus 16 prefix bytes and
+        # the distances' padding (157 two-byte cells pad to 320).
+        assert len(resaved) - len(blob) == 16 + 6
         view = flat_labeling_view(resaved, verify_crc=True, validate=True)
         for v in range(self.N):
             assert view.hubs(v) == flat.hubs(v)

@@ -429,14 +429,255 @@ class TestTierBoundaries:
         assert flat.distance_row(source).tolist() == [float(d) for d in row]
         for v in range(n):
             assert flat.hubs(v) == labeling.hubs(v)
-        # Envelope v4 keeps both tiers, with odd and even entry counts.
+        # Envelope v5 keeps both tiers, with odd and even entry counts.
         blob = flat_labeling_to_bytes(flat)
-        assert blob[4] == 4 and blob[26] == (2 if narrow else 4)
+        assert blob[4] == 5 and blob[26] == (2 if narrow else 4)
         for back in (flat_labeling_from_bytes(blob), flat_labeling_view(blob)):
             assert back.arrays()[1].dtype.name == hub_tier
             assert back.arrays()[2].dtype == flat.arrays()[2].dtype
             assert _typed(back.batch_query(pairs)) == _typed(expected)
             assert _typed(back.batch_query_from(source)) == _typed(row)
+
+
+@st.composite
+def _split_labelings(draw):
+    """A labeling around one dist tier boundary with a few scattered
+    entries and, half the time, heavy hubs that fill about seven in
+    eight cells of their columns, so a one-column floor gives most of
+    those a tile of dense columns.  Without heavy hubs, empty labels
+    and non-meeting pairs are likely."""
+    tier = draw(st.sampled_from(sorted(_TIER_DISTANCES)))
+    distance = _TIER_DISTANCES[tier]
+    n = draw(st.integers(min_value=8, max_value=16))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    labeling = HubLabeling(n)
+    heavy = draw(
+        st.one_of(st.just(set()), st.sets(vertex, min_size=3 * n // 4))
+    )
+    for hub in heavy:
+        for v in range(n):
+            if draw(st.integers(min_value=0, max_value=7)):
+                labeling.add_hub(v, hub, draw(distance))
+    scattered = draw(st.lists(st.tuples(vertex, vertex, distance), max_size=20))
+    for v, hub, dist in scattered:
+        labeling.add_hub(v, hub, dist)
+    return labeling, draw(vertex), draw(st.lists(vertex, max_size=12))
+
+
+class TestSplitStore:
+    """The dense part and the tail answer exactly as one CSR store and
+    the dict store do, on every tier, with ``K = 0`` and ``K > 0``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_split_labelings(), floor=st.sampled_from([1, 32]))
+    def test_every_door_matches_the_dict_store(self, case, floor, tmp_path_factory):
+        from repro.perf.shm import MappedLabelStore, SharedLabelStore
+
+        labeling, source, targets = case
+        with pytest.MonkeyPatch.context() as mp:
+            # The floor patched to one column lets a 9-vertex store
+            # keep a dense part; at 32 it has none.
+            mp.setattr(kernels, "_MIN_DENSE", floor)
+            flat = FlatHubLabeling.from_labeling(labeling)
+        if floor == 32:
+            assert flat.dense_width == 0
+        if flat.arrays()[2].dtype.name == "uint32":
+            assert flat.dense_width == 0  # two sentinels wrap uint32
+        blob = flat_labeling_to_bytes(flat)
+        assert blob[4] == 5
+        path = tmp_path_factory.mktemp("split") / "labels.rhl"
+        path.write_bytes(blob)
+        with MappedLabelStore(path) as mapped, SharedLabelStore.create(
+            flat
+        ) as shared:
+            for store in (
+                flat,
+                flat_labeling_from_bytes(blob),
+                flat_labeling_view(blob, validate=True),
+                mapped.flat,
+                SharedLabelStore.attach(shared.name).flat,
+            ):
+                assert store.dense()[0].tolist() == flat.dense()[0].tolist()
+                self._check_store(store, labeling, source, targets)
+
+    @staticmethod
+    def _check_store(flat, labeling, source, targets):
+        n = labeling.num_vertices
+        csr = FlatHubLabeling.from_buffers(
+            *flat.csr(),
+            flat.dense()[0][:0],
+            np.empty((0, n, kernels.TILE), dtype=flat.arrays()[2].dtype),
+            dense_entries=0,
+        )
+        pairs = _all_pairs(n)
+        expected = [labeling.query(u, v) for u, v in pairs]
+        row = [labeling.query(source, v) for v in range(n)]
+        assert _typed(flat.batch_query(pairs)) == _typed(expected)
+        assert _typed([flat.query(u, v) for u, v in pairs]) == _typed(expected)
+        assert _typed(flat.batch_query_from(source)) == _typed(row)
+        assert _typed(flat.batch_query_from(source, targets)) == _typed(
+            [row[t] for t in targets]
+        )
+        assert flat.distance_row(source).tolist() == [float(d) for d in row]
+        for (u, v), want in zip(pairs, expected):
+            hub = flat.meet(u, v)
+            # The smallest hub id realizing the minimum, as one CSR
+            # store's merge finds it.
+            assert hub == csr.meet(u, v)
+            if want == INF:
+                assert hub is None
+            else:
+                assert labeling.hubs(u)[hub] + labeling.hubs(v)[hub] == want
+        for v in range(n):
+            assert sorted((h, type(d), d) for h, d in flat.hubs(v).items()) == (
+                sorted((h, type(d), d) for h, d in labeling.hubs(v).items())
+            )
+            assert flat.label_size(v) == labeling.label_size(v)
+        assert flat.total_size() == labeling.total_size()
+        assert flat.max_size() == max(
+            (labeling.label_size(v) for v in range(n)), default=0
+        )
+
+    @pytest.mark.parametrize(
+        "far, tier, width",
+        [(7, "uint16", 8), (20000, "uint32", 0), (2.25, "float64", 8)],
+    )
+    def test_dense_part_per_tier(self, far, tier, width):
+        # Hubs 0..7 are in every label but two cells of vertex 2: one
+        # tile of columns pays on the tiers that may hold it, as 4-byte
+        # or 10-byte entries.  Hub 8 stays in the tail.
+        lab = HubLabeling(9)
+        for v in range(9):
+            for hub in range(8):
+                if v != 2 or hub not in (5, 6):
+                    lab.add_hub(v, hub, far if (v, hub) == (3, 1) else (v + hub) % 5)
+        lab.add_hub(8, 8, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            flat = FlatHubLabeling.from_labeling(lab)
+        assert flat.arrays()[2].dtype.name == tier
+        assert flat.dense_width == width
+        assert len(flat.arrays()[1]) == (1 if width else 71)
+        assert flat.total_size() == 71 and flat.label_size(2) == 6
+        assert flat.max_size() == 9
+        assert repr(flat).endswith(f"K={width})")
+        pairs = _all_pairs(9)
+        assert _typed(flat.batch_query(pairs)) == _typed(
+            [lab.query(u, v) for u, v in pairs]
+        )
+        for v in range(9):
+            assert flat.to_labeling().hubs(v) == lab.hubs(v)
+
+    def test_split_bytes_never_exceed_the_csr(self):
+        # G(2,1)'s 16 most-frequent hubs pay for two tiles of columns,
+        # below the floor, so its layout is one CSR; a one-column floor
+        # gives it those 16 columns in fewer bytes.
+        graph = build_degree3_instance(2, 1).graph
+        built = build_flat_labels(graph)
+        assert built.dense_width == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            split = build_flat_labels(graph)
+            derived = FlatHubLabeling(*built.arrays())
+        assert split.dense_width == derived.dense_width == 16
+        assert split.space_bytes() < built.space_bytes()
+        for a, b in zip(
+            (*split.arrays(), *split.dense()), (*derived.arrays(), *derived.dense())
+        ):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert split.total_size() == built.total_size()
+
+    def test_corrupt_split_is_caught_by_validation(self):
+        from repro.runtime.errors import ArtifactCorruptError
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            flat = build_flat_labels(random_sparse_graph(30, seed=2))
+        assert flat.dense_width
+        offsets, hubs, dists = flat.arrays()
+        dense_hubs, dense = flat.dense()
+        entries = flat.total_size() - len(hubs)
+        bad = [
+            # a dense hub that also has a tail entry
+            (offsets, np.where(hubs == hubs[0], dense_hubs[0], hubs)
+             .astype(hubs.dtype), dists, dense_hubs, dense, entries),
+            # a miscounted dense part
+            (offsets, hubs, dists, dense_hubs, dense, entries + 1),
+            # a cell past the uint16 tier
+            (offsets, hubs, dists, dense_hubs,
+             np.where(dense == dense.min(), 16000, dense).astype(dense.dtype),
+             entries),
+        ]
+        for case in bad:
+            with pytest.raises(ValueError):
+                FlatHubLabeling.from_buffers(
+                    *case[:5], dense_entries=case[5], validate=True
+                )
+        with pytest.raises(ValueError, match="cannot hold a dense part"):
+            FlatHubLabeling.from_buffers(
+                offsets, hubs, dists.astype(np.uint32), dense_hubs,
+                dense.astype(np.uint32), dense_entries=entries,
+                validate=False,
+            )
+        blob = bytearray(flat_labeling_to_bytes(flat))
+        blob[25 + 18 : 25 + 26] = (entries + 1).to_bytes(8, "big")
+        with pytest.raises(ArtifactCorruptError):
+            flat_labeling_view(bytes(blob), validate=True)
+
+
+class TestNoDerivation:
+    """Every producer writes the split itself: the one helper that
+    derives it from a CSR triple never runs on a build, a load, a
+    mapping, an attach or a splice."""
+
+    def test_split_helper_runs_only_in_the_constructor(self, tmp_path):
+        from repro.dynamic import DynamicHubLabeling
+        from repro.perf import flat as flat_module
+        from repro.perf.cache import LabelCache
+        from repro.perf.shm import SharedLabelStore
+
+        calls = []
+        derive = flat_module._split
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return derive(*args)
+
+        graph = random_sparse_graph(40, seed=4)
+        order = degree_order(graph)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            mp.setattr(flat_module, "_split", spy)
+            built = build_flat_labels(graph, order)
+            assert built.dense_width > 0
+            cache = LabelCache(tmp_path)
+            cache.store(graph, order, built)
+            hit = cache.load_or_build(graph, order)
+            blob = flat_labeling_to_bytes(built)
+            loaded = flat_labeling_from_bytes(blob)
+            viewed = flat_labeling_view(blob)
+            with SharedLabelStore.create(built) as shared:
+                attached = SharedLabelStore.attach(shared.name)
+                attached_widths = attached.flat.dense_width
+                attached.close()
+            dyn = DynamicHubLabeling(
+                graph.copy(), order=order, cache=cache,
+                rebuild_fraction=1.0, staleness_budget=1e9,
+            )
+            u, v = next(
+                (u, v) for u in range(40) for v in range(u + 1, 40)
+                if not graph.has_edge(u, v)
+            )
+            assert not dyn.insert_edge(u, v).rebuilt
+            assert not dyn.delete_edge(*next(iter(graph.edges()))[:2]).rebuilt
+            assert calls == []
+            # The spy sees the constructor's derivation.
+            FlatHubLabeling(*built.csr())
+            assert calls == [built.total_size()]
+        widths = {
+            store.dense_width for store in (built, hit, loaded, viewed, dyn.flat())
+        }
+        assert widths == {attached_widths}
 
 
 class TestHubTierProducers:

@@ -188,7 +188,7 @@ class TestLabelingDigest:
     def test_every_view_of_one_labeling_shares_digest(
         self, served_labeling, tmp_path
     ):
-        # The generation token hashes the version-4 triple, so a dict
+        # The digest hashes one CSR triple of every entry, so a dict
         # store, its flat freeze, an mmap view and a shm view agree.
         from repro.core.io import flat_labeling_to_bytes
         from repro.perf.shm import MappedLabelStore, SharedLabelStore
@@ -202,6 +202,33 @@ class TestLabelingDigest:
             digests = {
                 labeling_digest(store)
                 for store in (served_labeling, flat, mapped.flat, shared.flat)
+            }
+            assert len(digests) == 1
+
+    def test_split_store_views_share_the_dict_digest(self, tmp_path):
+        # With a dense part: the dict store, its freeze, the version-5
+        # views and a store holding the same entries with no dense part
+        # agree.
+        from repro.core.io import flat_labeling_to_bytes
+        from repro.perf import kernels
+        from repro.perf.shm import MappedLabelStore, SharedLabelStore
+
+        labeling = pruned_landmark_labeling(random_sparse_graph(60, seed=3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_MIN_DENSE", 1)
+            flat = FlatHubLabeling.from_labeling(labeling)
+        assert flat.dense_width > 0
+        csr_only = FlatHubLabeling.from_labeling(labeling)
+        assert csr_only.dense_width == 0
+        path = tmp_path / "labels.rhl"
+        path.write_bytes(flat_labeling_to_bytes(flat))
+        with MappedLabelStore(path) as mapped, SharedLabelStore.create(
+            flat
+        ) as shared:
+            assert mapped.flat.dense_width == shared.flat.dense_width > 0
+            digests = {
+                labeling_digest(store)
+                for store in (labeling, flat, csr_only, mapped.flat, shared.flat)
             }
             assert len(digests) == 1
 
@@ -1359,3 +1386,82 @@ class TestDepthGauges:
         finally:
             oracle.release.set()
             server.stop()
+
+
+class TestNonIntegerIds:
+    """A vertex id that is not an integer is refused with DomainError at
+    every door, never truncated or parsed into another pair -- with the
+    result cache on and off."""
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        from repro.graphs.generators import barabasi_albert
+        from repro.perf.build import build_flat_labels
+
+        return build_flat_labels(barabasi_albert(50, 2, seed=0))
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_per_pair_door(self, flat, cache_size):
+        import numpy as np
+
+        with QueryServer(
+            HubLabelOracle(flat, backend="flat"), cache_size=cache_size
+        ) as server:
+            # 1.5 * 50 + 2 is 77.0, the key of pair (1, 27); warm its
+            # cache entry and pair (1, 2)'s.
+            truth = {pair: flat.query(*pair) for pair in ((1, 27), (1, 2), (3, 2))}
+            for pair in truth:
+                assert server.submit(*pair).result(timeout=5) == truth[pair]
+            for u, v in ((1.5, 2), (1, 2.5), ("3", 2), (1.0, 2)):
+                with pytest.raises(DomainError, match="not an integer"):
+                    server.submit(u, v).result(timeout=5)
+            # NumPy integers are integers.
+            assert server.submit(np.int64(1), np.int32(2)).result(timeout=5) == (
+                truth[(1, 2)]
+            )
+            stats = server.stats()
+            assert stats.requests == stats.responses + stats.errors
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_batch_door(self, flat, cache_size):
+        import numpy as np
+
+        with QueryServer(
+            HubLabelOracle(flat, backend="flat"), cache_size=cache_size
+        ) as server:
+            assert server.submit_batch([1], [2]).result(timeout=5) == [
+                flat.query(1, 2)
+            ]
+            for us, vs in (([1.5], [2]), ([1], ["2"]), (np.array([1.0]), [2])):
+                with pytest.raises(DomainError, match="not an integer"):
+                    server.submit_batch(us, vs)
+            assert server.submit_batch(
+                np.array([1], dtype=np.uint8), [2]
+            ).result(timeout=5) == [flat.query(1, 2)]
+
+    @pytest.mark.parametrize("backend", ["flat", "dict"])
+    def test_oracle_doors(self, flat, backend):
+        labeling = flat if backend == "flat" else flat.to_labeling()
+        oracle = HubLabelOracle(labeling, backend=backend)
+        for call in (
+            lambda: oracle.query(1.5, 2),
+            lambda: oracle.query(1, "2"),
+            lambda: oracle.batch_query([(1.5, 2)]),
+            lambda: oracle.batch_query([("3", 2)]),
+        ):
+            with pytest.raises(DomainError, match="not an integer"):
+                call()
+        assert oracle.batch_query([(1, 2)]) == [flat.query(1, 2)]
+
+    def test_store_doors(self, flat):
+        for call in (
+            lambda: flat.batch_query([("3", 2)]),
+            lambda: flat.batch_query([(1.5, 2)]),
+            lambda: flat.query(1.5, 2),
+            lambda: flat.meet(1, 2.5),
+            lambda: flat.batch_query_from(1, [2.5]),
+            lambda: flat.batch_query_from(1.5),
+            lambda: flat.distance_row("3"),
+        ):
+            with pytest.raises(DomainError, match="not an integer"):
+                call()

@@ -142,6 +142,14 @@ class TestErrors:
         with pytest.raises(DomainError):
             server.submit_batch([0, -1], [1, 2])
 
+    def test_non_integer_ids_are_domain_errors(self, built, server):
+        # 1.5 must not truncate to vertex 1.
+        future = server.submit(1.5, 2)
+        with pytest.raises(DomainError, match="not an integer"):
+            future.result()
+        with pytest.raises(DomainError, match="not an integer"):
+            server.submit_batch([1.5], [2])
+
     def test_overload_is_loud(self, built):
         _, _, flat = built
         fleet = ShardedQueryServer(
