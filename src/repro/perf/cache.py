@@ -16,26 +16,29 @@ fingerprint of everything the labeling depends on:
 Artifacts are the checksummed version-5 envelope of
 :mod:`repro.core.io` (the store's own arrays, little-endian), written atomically
 (temp file + ``os.replace``) so a crashed writer can never leave a
-half-written entry behind.  A corrupt or truncated artifact is detected
-at load (:class:`~repro.runtime.errors.ArtifactCorruptError`), counted,
-deleted, and transparently rebuilt -- the cache can only ever make runs
-faster, never wrong.
+half-written entry behind.
+
+A hit copies nothing.  The artifact is opened through
+:class:`~repro.perf.shm.MappedLabelStore`, its payload CRC runs
+(:meth:`~repro.perf.shm.MappedLabelStore.verify`) before the store is
+returned, and the returned labeling's arrays are read-only views over
+the mapped file, so the page cache holds the only copy of the labels.
+A bad header, a bad CRC, a file that cannot be mapped or a vertex
+count that does not match the graph is detected at load, counted,
+deleted, and transparently rebuilt -- the cache can only ever
+make runs faster, never wrong.  The labeling keeps its mapping alive
+for as long as it is queryable; because entries are only ever replaced
+whole, never written in place, a live mapping keeps answering from
+its own file after the entry is deleted or stored again.  A miss
+returns the store it just built.
 
 Observability: every lookup increments ``build.cache_hits`` or
 ``build.cache_misses``; every discarded artifact increments
 ``build.cache_invalidations``.  A cache hit performs **no**
 construction, so the ``build.flat`` tracing span is absent from hit
 paths -- tests and the CI smoke step use exactly that to prove the warm
-run skipped the build.
-
-With ``LabelCache(directory, mmap=True)`` a hit does not even
-deserialize: the artifact is opened through
-:class:`~repro.perf.shm.MappedLabelStore`, so the returned labeling's
-CSR arrays are zero-copy views over the mapped file.  The envelope
-header is still validated eagerly (truncation and version skew
-invalidate as usual) but the CRC is deferred, making a warm start
-O(page-in) instead of O(deserialize); such hits additionally count
-``shm.attaches{source=mmap}``.
+run skipped the build.  Every opened artifact also counts
+``shm.attaches{source=mmap}`` and one ``shm.crc_checks`` by outcome.
 """
 
 from __future__ import annotations
@@ -106,12 +109,9 @@ class LabelCache:
     otherwise build, persist, and return it.
     """
 
-    def __init__(
-        self, directory: Union[str, Path], *, mmap: bool = False
-    ) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.mmap = mmap
         registry = get_registry()
         if registry.enabled:
             # Create the counters at 0 up front so snapshots always
@@ -134,9 +134,8 @@ class LabelCache:
 
         Counts a hit or a miss; a corrupt artifact counts an
         invalidation, is deleted, and reports as a miss (the caller
-        rebuilds).  With ``mmap=True`` the artifact is mapped instead
-        of deserialized (header validated now, CRC deferred) and the
-        labeling's arrays view the file directly.
+        rebuilds).  A hit's arrays are read-only views over the mapped
+        artifact, whose CRC has been checked.
         """
         return self._load(self.path_for(cache_key(graph, order)), graph)
 
@@ -146,10 +145,8 @@ class LabelCache:
             if self._misses is not None:
                 self._misses.inc()
             return None
-        flat = (
-            self._load_mapped(path) if self.mmap else self._load_bytes(path)
-        )
-        if flat is None or flat.num_vertices != graph.num_vertices:
+        flat = self._map(path, graph.num_vertices)
+        if flat is None:
             # Corrupt envelope, or a key collision so drastic the
             # entry is garbage either way: drop it and rebuild.
             if self._invalidations is not None:
@@ -162,26 +159,25 @@ class LabelCache:
             self._hits.inc()
         return flat
 
-    def _load_bytes(self, path: Path) -> Optional[FlatHubLabeling]:
-        """Fully deserialize ``path`` (CRC checked now), None if corrupt."""
-        from ..core.io import flat_labeling_from_bytes
-
-        try:
-            return flat_labeling_from_bytes(path.read_bytes())
-        except (ArtifactCorruptError, FileNotFoundError):
-            return None
-
-    def _load_mapped(self, path: Path) -> Optional[FlatHubLabeling]:
-        """Map ``path`` zero-copy (CRC deferred), None if the header lies."""
+    @staticmethod
+    def _map(path: Path, num_vertices: int) -> Optional[FlatHubLabeling]:
+        """Map ``path`` zero-copy and CRC it; None unless it holds an
+        intact store of ``num_vertices`` vertices."""
         from .shm import MappedLabelStore
 
         try:
             store = MappedLabelStore(path)
-        except (ArtifactCorruptError, FileNotFoundError, ValueError,
-                OSError):
+        except (ArtifactCorruptError, OSError, ValueError):
             # ValueError covers mmap of an empty (zero-length) file.
             return None
-        return store.flat
+        if store.flat.num_vertices == num_vertices:
+            try:
+                store.verify()
+                return store.flat
+            except ArtifactCorruptError:
+                pass
+        store.close()
+        return None
 
     def store(
         self, graph: Graph, order: List[int], flat: FlatHubLabeling

@@ -16,14 +16,15 @@ make that free:
   tracked attach would double-unlink and warn on worker exit).
 
 * :class:`MappedLabelStore` -- an ``mmap`` view of an artifact file
-  (what :class:`~repro.perf.cache.LabelCache` writes).  Opening costs
-  a header check, not a deserialize: the kernel pages label data in on
-  first touch and shares those pages between every process mapping the
-  same file, so a warm cold-start is O(page-in) and a fleet of workers
-  still holds one physical copy.
+  (what :class:`~repro.perf.cache.LabelCache` writes, and how it
+  serves every hit).  Opening costs a header check, not a
+  deserialize: the store's arrays are the page cache's pages, shared
+  between every process mapping the same file, so no process holds a
+  private copy of the labels.
 
 Both sources defer the envelope CRC (:meth:`verify` runs it on demand
--- the lazy half of the open) and emit the ``shm.*`` metrics:
+-- the lazy half of the open; ``LabelCache`` runs it before it returns
+a hit) and emit the ``shm.*`` metrics:
 ``shm.attaches`` per store opened (labelled by source), the
 ``shm.bytes_mapped`` gauge, and ``shm.crc_checks`` per deferred
 verification (labelled by outcome).

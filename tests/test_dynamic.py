@@ -18,6 +18,7 @@ stale answer.  Three independent harnesses enforce it:
 
 import json
 import math
+import mmap
 import pathlib
 import sys
 import threading
@@ -608,22 +609,35 @@ class TestDenseColumnRepair:
 
 class TestCacheHitRepair:
     def test_a_store_loaded_from_the_cache_repairs(self, tmp_path):
-        # Artifact arrays are little-endian views; the repair iterates
-        # memoryviews of them, which need the native byte order.
+        # A hit's arrays are read-only little-endian views over the
+        # mapped artifact; the repair iterates memoryviews of them,
+        # which need the native byte order, and never writes them.
         g = random_sparse_graph(40, seed=4)
         order = degree_order(g)
         cache = LabelCache(tmp_path)
         cache.store(g, order, build_flat_labels(g, order))
-        dyn = DynamicHubLabeling(
-            g, order=order, cache=cache, rebuild_fraction=1.0,
-            staleness_budget=1e9,
-        )
-        u, v = next(
+        absent = next(
             (u, v) for u in range(40) for v in range(u + 1, 40)
             if not g.has_edge(u, v)
         )
-        assert not dyn.insert_edge(u, v).rebuilt
-        _assert_answer_identical(dyn, "cache hit")
+        present = next(iter(g.edges()))[:2]
+        pairs = [(u, v) for u in range(40) for v in range(40)]
+        want = build_flat_labels(g, order).batch_query(pairs)
+        for op, (u, v) in (("insert", absent), ("delete", present)):
+            dyn = DynamicHubLabeling(
+                g.copy(), order=order, cache=cache, rebuild_fraction=1.0,
+                staleness_budget=1e9,
+            )
+            hit = dyn.flat()
+            owner = hit.arrays()[1]
+            while isinstance(owner, np.ndarray) and owner.base is not None:
+                owner = owner.base
+            assert isinstance(owner.obj, mmap.mmap)
+            edit = dyn.insert_edge if op == "insert" else dyn.delete_edge
+            assert not edit(u, v).rebuilt
+            _assert_answer_identical(dyn, f"cache hit {op}")
+            # The repair replaced the store; the hit itself is unchanged.
+            assert hit.batch_query(pairs) == want
 
 
 def _true_distances(graph):

@@ -120,16 +120,11 @@ class TestBenchSchema:
 
     def test_cache_suites(self, results):
         assert results["cache_store"]["value"] > 0
-        assert results["cache_hit_latency"]["value"] > 0
-        assert results["cache_hit_latency"]["hit"] == 1
-
-    def test_cache_hit_reports_both_doors(self, results):
-        # The entry value stays the deserialize time (what baselines
-        # compare), with the zero-copy mmap load reported alongside.
+        # A hit has one door (a map plus its CRC), timed once.
         row = results["cache_hit_latency"]
-        assert row["deserialize_s"] == row["value"]
-        assert row["mmap_s"] > 0
-        assert row["mmap_hit"] == 1
+        assert row["value"] > 0
+        assert row["hit"] == 1
+        assert set(row) == {"metric", "value", "unit", "instance", "seed", "hit"}
 
     def test_sharded_suites(self, results):
         sharded = results["serving_throughput_sharded"]

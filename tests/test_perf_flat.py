@@ -489,16 +489,18 @@ class TestSplitStore:
         path.write_bytes(blob)
         with MappedLabelStore(path) as mapped, SharedLabelStore.create(
             flat
-        ) as shared:
+        ) as shared, SharedLabelStore.attach(shared.name) as attached:
             for store in (
                 flat,
                 flat_labeling_from_bytes(blob),
                 flat_labeling_view(blob, validate=True),
                 mapped.flat,
-                SharedLabelStore.attach(shared.name).flat,
+                attached.flat,
             ):
                 assert store.dense()[0].tolist() == flat.dense()[0].tolist()
                 self._check_store(store, labeling, source, targets)
+            # Release the last view before the segments are closed.
+            del store
 
     @staticmethod
     def _check_store(flat, labeling, source, targets):

@@ -4,33 +4,37 @@ Covers the contracts the sharded serving tier leans on: byte-identical
 answers through both zero-copy sources, eager header validation with a
 deferred (lazy) CRC, concurrent readers over one segment, no
 ``/dev/shm`` leaks even when a worker dies abnormally, and the
-cold-start path -- a warm ``LabelCache(mmap=True)`` hit maps the
-artifact instead of deserializing it and never emits a ``build.flat``
-span.
+cold-start path -- a warm ``LabelCache`` hit maps the artifact, checks
+its CRC, copies nothing and never emits a ``build.flat`` span.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import pruned_landmark_labeling
-from repro.core.io import flat_labeling_to_bytes
+from repro.core.io import flat_labeling_from_bytes, flat_labeling_to_bytes
 from repro.core.orders import degree_order
 from repro.graphs import random_sparse_graph
 from repro.obs.catalog import (
     BUILD_CACHE_HITS,
+    BUILD_CACHE_INVALIDATIONS,
+    BUILD_CACHE_MISSES,
     SHM_ATTACHES,
     SHM_BYTES_MAPPED,
     SHM_CRC_CHECKS,
     SPAN_DURATION_SECONDS,
 )
 from repro.oracles.oracle import HubLabelOracle
-from repro.perf.cache import LabelCache
+from repro.perf.build import build_flat_labels
+from repro.perf.cache import LabelCache, cache_key
 from repro.perf.flat import FlatHubLabeling
 from repro.perf.shm import (
     SHM_NAME_PREFIX,
@@ -58,6 +62,14 @@ def _grade(flat, labeling, n):
             got = flat.query(u, v)
             assert got == want, (u, v)
             assert type(got) is type(want), (u, v)
+
+
+def _buffer_owner(array):
+    """The object at the end of ``array``'s ``.base`` chain."""
+    owner = array
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    return owner.obj if isinstance(owner, memoryview) else owner
 
 
 def _shm_entries():
@@ -196,32 +208,97 @@ class TestColdStartUsesMmap:
     ):
         graph, labeling, _ = built
         order = degree_order(graph)
-        cache = LabelCache(tmp_path, mmap=True)
+        cache = LabelCache(tmp_path)
         cache.load_or_build(graph, order)  # cold: builds + stores
 
         from repro.obs.registry import Registry, use_registry
 
         cold_start = Registry()
         with use_registry(cold_start):
-            warm_cache = LabelCache(tmp_path, mmap=True)
+            warm_cache = LabelCache(tmp_path)
             flat = warm_cache.load_or_build(graph, order)
         _grade(flat, labeling, graph.num_vertices)
         assert cold_start.get(BUILD_CACHE_HITS).value == 1
         assert cold_start.get(SHM_ATTACHES, source="mmap").value == 1
+        # The CRC ran before the hit was returned.
+        assert cold_start.get(SHM_CRC_CHECKS, outcome="ok").value == 1
         # The whole point: no reconstruction ran on the warm path.
         assert cold_start.get(
             SPAN_DURATION_SECONDS, span="build.flat"
         ) is None
 
-    def test_mmap_and_bytes_loads_agree(self, built, tmp_path):
+    def test_hit_equals_a_decode_of_its_artifact(self, built, tmp_path):
         graph, labeling, _ = built
         order = degree_order(graph)
-        LabelCache(tmp_path).load_or_build(graph, order)
-        mapped = LabelCache(tmp_path, mmap=True).load(graph, order)
-        copied = LabelCache(tmp_path).load(graph, order)
-        assert mapped is not None and copied is not None
+        cache = LabelCache(tmp_path)
+        cache.load_or_build(graph, order)
+        mapped = cache.load(graph, order)
+        path = cache.path_for(cache_key(graph, order))
+        decoded = flat_labeling_from_bytes(path.read_bytes())
+        assert mapped is not None
+        for got, want in zip(
+            (*mapped.arrays(), *mapped.dense()),
+            (*decoded.arrays(), *decoded.dense()),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
         _grade(mapped, labeling, graph.num_vertices)
-        _grade(copied, labeling, graph.num_vertices)
+
+    def test_hit_arrays_are_read_only_views_of_the_map(self, built, tmp_path):
+        graph, _, _ = built
+        order = degree_order(graph)
+        cache = LabelCache(tmp_path)
+        built_flat = cache.load_or_build(graph, order)  # a miss
+        assert not isinstance(_buffer_owner(built_flat.arrays()[0]), mmap.mmap)
+        hit = cache.load(graph, order)
+        for array in (*hit.arrays(), *hit.dense()):
+            assert not array.flags.writeable
+            assert isinstance(_buffer_owner(array), mmap.mmap)
+
+    def test_flipped_payload_byte_is_invalidated_and_rebuilt(
+        self, built, tmp_path, metrics_registry
+    ):
+        graph, labeling, _ = built
+        order = degree_order(graph)
+        cache = LabelCache(tmp_path)
+        cache.load_or_build(graph, order)
+        path = cache.path_for(cache_key(graph, order))
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01  # inside the payload
+        path.write_bytes(bytes(blob))
+
+        assert cache.load(graph, order) is None
+        assert not path.exists()
+        assert metrics_registry.get(BUILD_CACHE_INVALIDATIONS).value == 1
+        assert metrics_registry.get(SHM_CRC_CHECKS, outcome="corrupt").value == 1
+        rebuilt = cache.load_or_build(graph, order)
+        assert metrics_registry.get(BUILD_CACHE_MISSES).value == 3
+        assert path.exists()
+        _grade(rebuilt, labeling, graph.num_vertices)
+        _grade(cache.load(graph, order), labeling, graph.num_vertices)
+        assert metrics_registry.get(BUILD_CACHE_HITS).value == 1
+
+    def test_live_hit_survives_unlink_and_restore(self, built, tmp_path):
+        graph, labeling, _ = built
+        n = graph.num_vertices
+        order = degree_order(graph)
+        cache = LabelCache(tmp_path)
+        cache.load_or_build(graph, order)
+        path = cache.path_for(cache_key(graph, order))
+        hit = cache.load(graph, order)
+        pairs = [(u, v) for u in range(n) for v in range(0, n, 3)]
+        before = hit.batch_query(pairs)
+
+        path.unlink()
+        assert hit.batch_query(pairs) == before
+        _grade(hit, labeling, n)
+        # Store the same key again, with another graph's labels: the
+        # replace gives the path a new file, the old map keeps its own.
+        other = random_sparse_graph(n, seed=6)
+        cache.store(graph, order, build_flat_labels(other, degree_order(other)))
+        assert cache.load(graph, order).batch_query(pairs) != before
+        assert hit.batch_query(pairs) == before
+        _grade(hit, labeling, n)
 
 
 class TestNoLeaksOnAbnormalExit:
