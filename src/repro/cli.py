@@ -283,14 +283,15 @@ def _cmd_build(args) -> int:
         from .perf.cache import LabelCache, cache_key
 
         cache = LabelCache(args.cache_dir)
-        flat = cache.load(graph, order)
+        # One key walk serves the lookup, the store and the printout.
+        artifact = cache.path_for(cache_key(graph, order))
+        flat = cache._load(artifact, graph)
         if flat is None:
             status = "miss"
             flat = build_flat_labels(graph, order)
-            artifact = cache.store(graph, order, flat)
+            cache._store(artifact, flat)
         else:
             status = "hit"
-            artifact = cache.path_for(cache_key(graph, order))
     else:
         status = "off"
         artifact = None
@@ -391,7 +392,6 @@ def _make_server(args, graph, flat):
             HubLabelOracle(flat, backend="flat"),
             processes=processes,
             max_queue=args.max_queue,
-            cache_size=args.cache_size,
         )
     if getattr(args, "resilient", False):
         oracle = ResilientOracle(
@@ -406,7 +406,6 @@ def _make_server(args, graph, flat):
     return QueryServer(
         oracle,
         max_queue=args.max_queue,
-        cache_size=args.cache_size,
         shards=getattr(args, "shards", None),
         dispatchers=getattr(args, "dispatchers", 1) or 1,
     )
@@ -420,7 +419,6 @@ def _print_server_summary(server, report) -> None:
         f"(mean width {stats.mean_batch_width:.1f}, "
         f"p50 {stats.batch_width_p50:.0f}, p95 {stats.batch_width_p95:.0f})"
     )
-    print(f"cache hits: {stats.cache_hits}")
     print(f"overloads:  {stats.overloads}")
 
 
@@ -454,7 +452,7 @@ def _serve_and_report(args, *, grade, mutations=0, describe=False) -> int:
         )
         print(
             f"server:   {type(server.oracle).__name__}, "
-            f"queue<={args.max_queue}, cache={args.cache_size}, {fanout}"
+            f"queue<={args.max_queue}, {fanout}"
         )
     churn = {}
     if mutations:
@@ -491,10 +489,9 @@ def _make_churn(server, graph, *, mutations, seed):
     Each call applies the next edit of a seeded kept-connected
     :class:`MutationScript` through incremental repair, hot-swaps the
     repaired labeling into ``server`` via ``set_oracle``, then grades a
-    handful of post-swap probes against the repaired labeling -- the
-    generation-keyed result cache means a probe submitted after the
-    swap can never see the old oracle, so a probe mismatch is a stale
-    or wrong answer and fails the run loudly.
+    handful of post-swap probes against the repaired labeling -- a
+    probe submitted after the swap is answered by the new oracle, so a
+    probe mismatch is a stale or wrong answer and fails the run loudly.
     """
     import random as random_module
 
@@ -1019,10 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-queue", type=int, default=1024,
             help="admission-queue bound; beyond it requests are "
             "rejected with ServerOverloadError (default 1024)",
-        )
-        p.add_argument(
-            "--cache-size", type=int, default=4096,
-            help="LRU result-cache capacity; 0 disables (default 4096)",
         )
         p.add_argument(
             "--batch", type=int, default=64, metavar="WIDTH",

@@ -59,8 +59,6 @@ SERVE_SHARD_DEPTH = "serve.shard_depth"
 SERVE_BATCHES = "serve.batches"
 SERVE_BATCH_SUBMISSIONS = "serve.batch_submissions"
 SERVE_COALESCE_WIDTH = "serve.coalesce_width"
-SERVE_CACHE_HITS = "serve.cache_hits"
-SERVE_CACHE_MISSES = "serve.cache_misses"
 SERVE_OVERLOADS = "serve.overloads"
 SERVE_WORKER_BATCHES = "serve.worker_batches"
 SERVE_WORKER_RESTARTS = "serve.worker_restarts"
@@ -193,14 +191,13 @@ _SPECS = (
     MetricSpec(
         SERVE_REQUESTS, "counter", (),
         "per pair accepted by QueryServer.submit / submit_batch "
-        "(cache hits included; overload rejections are not); read "
-        "from the same books as ServerStats.requests",
+        "(overload rejections are not); read from the same books as "
+        "ServerStats.requests",
     ),
     MetricSpec(
         SERVE_REQUEST_LATENCY_SECONDS, "histogram", (),
         "submit-to-response wall time, one amortized observation per "
-        "dispatched group (the oldest waiter's; cache hits answer "
-        "inline and are not timed)",
+        "dispatched group (the oldest waiter's)",
     ),
     MetricSpec(
         SERVE_QUEUE_DEPTH, "gauge", (),
@@ -220,20 +217,12 @@ _SPECS = (
     ),
     MetricSpec(
         SERVE_BATCH_SUBMISSIONS, "counter", (),
-        "per QueryServer.submit_batch call admitted to a shard "
-        "(all-cache-hit batches resolve inline and are not counted)",
+        "per non-empty QueryServer.submit_batch call admitted to a "
+        "shard (empty batches resolve inline and are not counted)",
     ),
     MetricSpec(
         SERVE_COALESCE_WIDTH, "histogram", (),
         "pairs per dispatched group (width buckets, not seconds)",
-    ),
-    MetricSpec(
-        SERVE_CACHE_HITS, "counter", (),
-        "per request answered from the LRU result cache",
-    ),
-    MetricSpec(
-        SERVE_CACHE_MISSES, "counter", (),
-        "per request that missed the result cache and was enqueued",
     ),
     MetricSpec(
         SERVE_OVERLOADS, "counter", (),

@@ -430,7 +430,6 @@ def run_bench(
         with QueryServer(
             flat_oracle,
             max_queue=4 * serve_clients * serve_window,
-            cache_size=0,
         ) as server:
             threads = [
                 threading.Thread(target=client, args=(index,))
@@ -482,7 +481,6 @@ def run_bench(
         with QueryServer(
             flat_oracle,
             max_queue=4 * serve_clients * batch_window,
-            cache_size=0,
         ) as server:
             threads = [
                 threading.Thread(target=client, args=(index,))
@@ -555,7 +553,6 @@ def run_bench(
         flat_oracle,
         processes=sharded_workers,
         max_queue=4 * serve_clients * batch_window,
-        cache_size=0,
     )
     sharded_server.start()
     try:
@@ -719,8 +716,7 @@ def run_bench(
     # Serving throughput while the graph churns underneath: a loadgen
     # round against a QueryServer whose labeling is mutated and
     # hot-swapped (set_oracle) by the churn thread -- admission,
-    # batching, generation-keyed cache rekeying, and the swap cost all
-    # land inside the timed region.
+    # batching and the swap cost all land inside the timed region.
     churn_state = {"present": False}
     churn_holder: Dict[str, object] = {}
 
@@ -728,7 +724,6 @@ def run_bench(
         with QueryServer(
             HubLabelOracle(dyn.flat(), backend="flat"),
             max_queue=4 * serve_clients * serve_window,
-            cache_size=0,
         ) as churn_server:
 
             def churn():
@@ -971,7 +966,6 @@ def run_zoo_bench(
             with QueryServer(
                 flat_oracle,
                 max_queue=4 * clients * window,
-                cache_size=0,
             ) as server:
                 threads = [
                     threading.Thread(target=client, args=(index,))

@@ -21,9 +21,9 @@ spawns ``clients`` threads, each with its own seeded RNG, firing random
   (independent endpoints), ``"zipf"`` (endpoints drawn from a Zipf
   popularity ranking -- the few-hot-vertices skew of real traffic), or
   ``"hotspot"`` (a handful of hot *pairs* gets ``hot_fraction`` of all
-  requests -- the result cache's best case).  All three are built by
-  :func:`make_pair_sampler`, which is public so tests and benchmarks
-  can sample the same streams without a server.
+  requests, so most of a dispatched group collapses in its dedup).  All
+  three are built by :func:`make_pair_sampler`, which is public so
+  tests and benchmarks can sample the same streams without a server.
 
 Everything lands in a :class:`LoadReport`; ``report.ok`` is the single
 bit CI cares about: no wrong answers, no drops, no unexpected errors.

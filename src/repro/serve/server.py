@@ -10,17 +10,21 @@ Two front doors feed one pipeline:
 
 * :meth:`QueryServer.submit` -- one ``(u, v)`` pair, one
   ``concurrent.futures.Future``.  The future itself is what queues: it
-  carries the pair's packed key, probes the cache with one ``get`` and
-  is admitted directly, with no ticket, no per-pair lists and no numpy
-  call.  A pair future builds its condition only if someone waits on
-  it while it is pending (see :class:`_PairFuture`), so a submit
-  builds no lock.
+  carries the pair's packed key and is admitted directly, with no
+  ticket, no per-pair lists and no numpy call.  A pair future builds
+  its condition only if someone waits on it while it is pending (see
+  :class:`_PairFuture`), so a submit builds no lock.
 * :meth:`QueryServer.submit_batch` -- whole ``us`` / ``vs`` pair
-  arrays, one :class:`BatchTicket`.  The batch is deduplicated and
-  cache-probed *vectorized* at submit time, travels the admission path
-  as a single item, and completes one future -- results scatter back
-  through a fancy-indexed inverse map.  This is the fast path
-  ``run_loadgen``, the CLIs, and the serving benchmarks use.
+  arrays, one :class:`BatchTicket`.  The batch is deduplicated
+  *vectorized* at submit time, travels the admission path as a single
+  item, and completes one future -- results scatter back through a
+  fancy-indexed inverse map.  This is the fast path ``run_loadgen``,
+  the CLIs, and the serving benchmarks use.
+
+Every pair goes to the oracle: there is no result cache.  On the
+paper's instances every hub labeling has large hub sets, so a served
+query's cost is the merge over two large labels and repeated pairs are
+rare; what repeats within one dispatched group is asked once.
 
 The pipeline, item by item:
 
@@ -30,20 +34,16 @@ The pipeline, item by item:
    on the same lock.  When every shard is full the submit is rejected
    with :class:`~repro.runtime.errors.ServerOverloadError`
    (backpressure -- the caller backs off, nothing is dropped
-   silently).  Requests the cache answers completely resolve inline
-   and never enqueue.
+   silently).
 2. **Dispatch** -- ``dispatchers`` threads (default one) partition the
-   shards and drain everything queued on them.  The pairs the oracle
-   must answer, across every drained item, are merged into one dedup
-   and one ``batch_query`` call.  There is no size or deadline trigger:
-   whatever arrived while the last call ran is the next group.  If the
-   merged call raises, the items are retried one by one, so a bad pair
-   fails only its own future (and a ``submit_batch`` ticket fails as a
-   whole).
-3. **Completion** -- answers are cached in bulk (``put_many``) under
-   the generation captured with the oracle, so a swap mid-flight can
-   never publish stale entries; then each pair future is resolved
-   straight from the merged answers and each ticket gets its slice.
+   shards and drain everything queued on them.  The pairs of every
+   drained item are merged into one dedup and one ``batch_query``
+   call.  There is no size or deadline trigger: whatever arrived while
+   the last call ran is the next group.  If the merged call raises, the
+   items are retried one by one, so a bad pair fails only its own
+   future (and a ``submit_batch`` ticket fails as a whole).
+3. **Completion** -- each pair future is resolved straight from the
+   merged answers and each ticket gets its slice.
 4. **Shutdown** -- :meth:`stop` (or leaving the context manager) stops
    admissions, then *drains*: everything already accepted is served
    before the dispatchers exit.  ``drain=False`` cancels the backlog
@@ -54,14 +54,11 @@ The pipeline, item by item:
 The oracle is only ever invoked under the swap lock, so stateful
 oracles such as :class:`~repro.runtime.resilient.ResilientOracle` need
 no internal locking even with several dispatchers.  :meth:`set_oracle`
-swaps the oracle atomically; the cache generation is an O(1) token
-naming the swap (class name + swap number, never a pass over the
-labels) and cache keys are packed integers ``u * n + v`` --
-cheap to compute vectorized and cheap to hash.  A submit reads ``n``
-and the generation as one pair and probes the cache under that
-generation (a swap since then makes it a miss); each queued item
-remembers its ``n``, and the dispatcher merges and caches only items
-keyed like the current oracle.
+swaps the oracle atomically.  Keys are packed integers ``u * n + v``
+-- cheap to compute vectorized and cheap to hash -- so each queued
+item remembers the ``n`` it was packed with, and the dispatcher merges
+only items keyed like the current oracle; the rest (queued before a
+swap to another vertex count) are answered alone, from their pairs.
 
 One set of books: every tally is counted once, in per-thread cells
 that only their own thread bumps (no lock).  :meth:`QueryServer.stats`
@@ -95,8 +92,6 @@ import numpy as np
 from ..obs.catalog import (
     SERVE_BATCH_SUBMISSIONS,
     SERVE_BATCHES,
-    SERVE_CACHE_HITS,
-    SERVE_CACHE_MISSES,
     SERVE_COALESCE_WIDTH,
     SERVE_GENERATION,
     SERVE_OVERLOADS,
@@ -109,7 +104,6 @@ from ..obs.registry import Histogram
 from ..obs.registry import get_registry as _get_registry
 from ..perf.kernels import vertex_ids
 from ..runtime.errors import DomainError, ServerOverloadError
-from .cache import MISS, ResultCache
 
 __all__ = [
     "BatchTicket",
@@ -129,23 +123,20 @@ WIDTH_BUCKETS: Tuple[float, ...] = (
 #: ``max_queue`` so every shard keeps a positive capacity slice).
 DEFAULT_SHARDS = 4
 
-#: The slots of a books cell; the first eight are ServerStats' fields.
+#: The slots of a books cell; the first seven are ServerStats' fields.
 _STATS_FIELDS = (
     "requests", "responses", "errors", "cancelled",
-    "cache_hits", "overloads", "batches", "coalesced",
+    "overloads", "batches", "coalesced",
 )
 (
     _REQUESTS, _RESPONSES, _ERRORS, _CANCELLED,
-    _CACHE_HITS, _OVERLOADS, _BATCHES, _COALESCED,
-    _CACHE_MISSES, _BATCH_SUBMISSIONS,
-) = range(10)
-_SLOTS = 10
+    _OVERLOADS, _BATCHES, _COALESCED, _BATCH_SUBMISSIONS,
+) = range(8)
+_SLOTS = 8
 
 #: The ``serve.*`` counters and the books slot each one reads.
 _FED_COUNTERS = (
     (SERVE_REQUESTS, _REQUESTS),
-    (SERVE_CACHE_HITS, _CACHE_HITS),
-    (SERVE_CACHE_MISSES, _CACHE_MISSES),
     (SERVE_OVERLOADS, _OVERLOADS),
     (SERVE_BATCHES, _BATCHES),
     (SERVE_BATCH_SUBMISSIONS, _BATCH_SUBMISSIONS),
@@ -203,7 +194,7 @@ class _PairFuture(Future):
     ``wait`` and ``as_completed`` take them in their usual ``id``
     order, and pair futures mix freely with any other futures there.
 
-    ``_key`` is the pair's cache key, packed ``u * _base + v`` or the
+    ``_key`` is the pair's key, packed ``u * _base + v`` or the
     ``(u, v)`` tuple when ``_base`` is None.
     """
 
@@ -288,21 +279,14 @@ class BatchTicket:
     ``CancelledError``.
     """
 
-    __slots__ = (
-        "width", "_future",
-        "_base", "_keys", "_pairs", "_values", "_need", "_scatter",
-    )
+    __slots__ = ("width", "_future", "_base", "_keys", "_pairs", "_scatter")
 
     def __init__(self, width, keys, pairs, scatter, base):
         self.width = width
         self._future: Future = Future()
         self._base = base        # n the keys were packed with (None: tuples)
-        self._keys = keys        # cache keys of the pairs still to answer
+        self._keys = keys        # keys of the unique pairs
         self._pairs = pairs      # those pairs: an (m, 2) int64 array
-        # Per unique pair, once the cache answered some of them:
-        # _keys[i] answers _values[_need[i]].
-        self._values: Optional[List[object]] = None
-        self._need: Optional[List[int]] = None
         self._scatter = scatter  # submission -> unique index
 
     def done(self) -> bool:
@@ -312,37 +296,13 @@ class BatchTicket:
         """The distances, in submission order (blocks until served)."""
         return self._future.result(timeout)
 
-    def _probed(self, found: List[object]) -> int:
-        """Take the cache's answers (``MISS`` gaps); narrow what is left
-        to ask the oracle and return how many submissions were hits."""
-        need = [index for index, value in enumerate(found) if value is MISS]
-        if len(need) == len(found):
-            return 0
-        self._values = found
-        self._need = need
-        if not need:
-            return self.width
-        keys = self._keys
-        self._keys = [keys[index] for index in need]
-        self._pairs = self._pairs[need]
-        missing = np.zeros(len(found), dtype=bool)
-        missing[need] = True
-        return self.width - int(np.count_nonzero(missing[self._scatter]))
-
     def _answer(self, answers) -> None:
-        """Complete with the oracle's ``answers`` to ``_keys`` (none when
-        the cache answered the whole ticket)."""
-        values = self._values
-        if values is None:
-            values = answers
-        else:
-            for index, value in zip(self._need, answers):
-                values[index] = value
+        """Complete with the oracle's ``answers`` to ``_keys``."""
         # Fancy-indexed scatter over an object array keeps every
         # answer's Python type intact (int vs float, inf included).
         _resolve(
             self._future,
-            value=np.asarray(values, dtype=object)[self._scatter].tolist(),
+            value=np.asarray(answers, dtype=object)[self._scatter].tolist(),
         )
 
     def _fail(self, exc: BaseException) -> None:
@@ -376,14 +336,14 @@ class _Shard:
 class ServerStats:
     """A snapshot of the server's books.
 
-    ``responses`` counts answered pairs (cache hits included) and
-    ``cancelled`` the pairs a non-draining stop dropped, so
-    ``requests - responses - errors - cancelled`` pairs are pending (0
-    once stopped).  ``coalesced`` is the number of pairs in dispatched
-    groups, so ``coalesced / batches`` is the realized mean group width
-    -- ``batch_width_p50`` / ``batch_width_p95`` report the width
-    *distribution* from the server's own histogram, which a mean alone
-    cannot (one giant ticket hides a thousand singleton groups).
+    ``responses`` counts answered pairs and ``cancelled`` the pairs a
+    non-draining stop dropped, so ``requests - responses - errors -
+    cancelled`` pairs are pending (0 once stopped).  ``coalesced`` is
+    the number of pairs in dispatched groups, so ``coalesced /
+    batches`` is the realized mean group width -- ``batch_width_p50`` /
+    ``batch_width_p95`` report the width *distribution* from the
+    server's own histogram, which a mean alone cannot (one giant ticket
+    hides a thousand singleton groups).
 
     The fields are read without a lock: each is exact once the server
     is quiet (stopped, or every accepted request answered), and the
@@ -394,6 +354,8 @@ class ServerStats:
     responses: int = 0
     errors: int = 0
     cancelled: int = 0
+    #: Always 0.  Kept only for the benchmark scripts that read it; it
+    #: goes in the benchmark change that drops those reads.
     cache_hits: int = 0
     overloads: int = 0
     batches: int = 0
@@ -410,24 +372,23 @@ def _snapshot(books: _Books, width_hist: Histogram) -> ServerStats:
     """The :class:`ServerStats` of one set of books and width histogram."""
     totals = books.totals()
     return ServerStats(
-        *totals[: len(_STATS_FIELDS)],
+        **dict(zip(_STATS_FIELDS, totals)),
         batch_width_p50=width_hist.percentile(0.50) or 0.0,
         batch_width_p95=width_hist.percentile(0.95) or 0.0,
     )
 
 
-def _generation_for(oracle, seq: int) -> str:
-    """The cache-generation token for ``oracle`` installed as swap ``seq``.
-
-    O(1): the token names the swap, not the labeling's content, so
-    every :meth:`QueryServer.set_oracle` starts a cold cache -- even
-    one that re-installs byte-identical labels.
-    """
-    return f"{type(oracle).__name__}:{seq}"
+def _refuse_cache(cache_size: int) -> None:
+    """Reject a ``cache_size`` other than 0: the result cache is gone."""
+    if cache_size != 0:
+        raise ValueError(
+            f"cache_size={cache_size!r}: the result cache was removed; "
+            "every pair is answered by the oracle (omit cache_size)"
+        )
 
 
 def _key_base_for(oracle) -> Optional[int]:
-    """``n`` for packed ``u * n + v`` cache keys, or None (tuple keys)."""
+    """``n`` for packed ``u * n + v`` keys, or None (tuple keys)."""
     store = getattr(oracle, "labeling", None)
     n = getattr(store, "num_vertices", None) if store is not None else None
     return n if isinstance(n, int) and n > 0 else None
@@ -436,10 +397,10 @@ def _key_base_for(oracle) -> Optional[int]:
 def _merge(
     futures: List[_PairFuture], tickets: List[BatchTicket], base: Optional[int]
 ):
-    """One dedup over the pairs ``futures`` and ``tickets`` still ask,
-    all keyed with ``base``: ``(keys, pairs, inverse)`` -- the unique
-    keys, their pairs, and each asked pair's index into them (the
-    futures' pairs first, then each ticket's in turn)."""
+    """One dedup over the pairs ``futures`` and ``tickets`` ask, all
+    keyed with ``base``: ``(pairs, inverse)`` -- the unique pairs and
+    each asked pair's index into them (the futures' pairs first, then
+    each ticket's in turn)."""
     keys = [future._key for future in futures]
     for ticket in tickets:
         keys.extend(ticket._keys)
@@ -447,12 +408,12 @@ def _merge(
         # Tuple keys are the pairs themselves.
         unique = list(dict.fromkeys(keys))
         slot = {key: index for index, key in enumerate(unique)}
-        return unique, unique, [slot[key] for key in keys]
+        return unique, [slot[key] for key in keys]
     packed, inverse = np.unique(
         np.array(keys, dtype=np.int64), return_inverse=True
     )
     us, vs = np.divmod(packed, base)
-    return packed.tolist(), np.column_stack((us, vs)), inverse.reshape(-1)
+    return np.column_stack((us, vs)), inverse.reshape(-1)
 
 
 def _for_oracle(pairs, arrays: bool):
@@ -481,7 +442,7 @@ def _ask(oracle, pairs) -> List[object]:
 
 
 class QueryServer:
-    """A bounded, coalescing, caching front-end over a distance oracle.
+    """A bounded, coalescing front-end over a distance oracle.
 
     ``oracle`` needs ``query(u, v)`` returning an outcome with a
     ``.distance`` (or the distance itself); a ``batch_query(pairs)``
@@ -492,6 +453,10 @@ class QueryServer:
     max_queue)``); ``dispatchers`` fans the stripes out over that many
     dispatcher threads (default 1 -- oracle calls are serialized under
     the swap lock either way).
+
+    ``cache_size`` accepts only 0: the result cache was removed.  The
+    keyword exists only for the benchmark scripts that still pass
+    ``cache_size=0``, and goes in the benchmark change that drops them.
     """
 
     def __init__(
@@ -499,10 +464,11 @@ class QueryServer:
         oracle,
         *,
         max_queue: int = 1024,
-        cache_size: int = 4096,
+        cache_size: int = 0,
         shards: Optional[int] = None,
         dispatchers: int = 1,
     ) -> None:
+        _refuse_cache(cache_size)
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         if shards is not None and shards < 1:
@@ -527,13 +493,9 @@ class QueryServer:
         self._local = threading.local()
         self._spin = itertools.count()
         self._oracle_lock = threading.Lock()
-        self._cache = ResultCache(cache_size)
-        self._cache_on = cache_size > 0
         self._oracle = oracle
-        generation = _generation_for(oracle, 0)
-        self._keying = (_key_base_for(oracle), generation)
+        self._key_base = _key_base_for(oracle)
         self._generation_seq = 0
-        self._cache.rekey(generation)
         self._accepting = False
         self._stopping = False
         self._drain_requested = True
@@ -670,7 +632,7 @@ class QueryServer:
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
         home, cell = self._slot()
-        base, generation = self._keying
+        base = self._key_base
         # Out-of-domain or non-integer coordinates must never pack
         # (they could alias a valid pair's integer): a tuple key, never
         # merged with packed ones, whose oracle call fails the future
@@ -686,22 +648,9 @@ class QueryServer:
         except TypeError:  # a float or a string
             key, base = (u, v), None
         future = _PairFuture(key, base)
-        if self._cache_on:
-            value = self._cache.get(key, generation)
-            if value is not MISS:
-                # Nobody else can see the future yet: no lock, no notify.
-                future._result = value
-                future._state = FINISHED
-                if _get_registry() is not self._obs_registry:
-                    self._bind_obs()  # feed the books to the current one
-                cell[_REQUESTS] += 1
-                cell[_CACHE_HITS] += 1
-                cell[_RESPONSES] += 1
-                return future
         if not self._admit(future, 1, home):
             raise self._refuse(cell, f"request {(u, v)}")
         cell[_REQUESTS] += 1
-        cell[_CACHE_MISSES] += 1
         return future
 
     def submit_batch(self, us, vs) -> BatchTicket:
@@ -716,19 +665,18 @@ class QueryServer:
         """
         if not self._accepting:
             raise RuntimeError("QueryServer is not running (call start())")
-        ticket, generation = self._ticket(us, vs)
-        self._enqueue(ticket, generation)
+        ticket = self._ticket(us, vs)
+        self._enqueue(ticket)
         return ticket
 
-    def _ticket(self, us, vs) -> Tuple[BatchTicket, str]:
-        """A batch ticket -- unique cache keys + pairs and the
-        submission -> unique scatter map, all vectorized -- and the
-        cache generation its keys belong to."""
+    def _ticket(self, us, vs) -> BatchTicket:
+        """A batch ticket: unique keys + pairs and the submission ->
+        unique scatter map, all vectorized."""
         us_arr = vertex_ids(us).reshape(-1)
         vs_arr = vertex_ids(vs).reshape(-1)
         if us_arr.shape != vs_arr.shape:
             raise ValueError("us and vs must be the same length")
-        base, generation = self._keying
+        base = self._key_base
         if base is None:
             pairs, scatter = np.unique(
                 np.column_stack((us_arr, vs_arr)),
@@ -751,40 +699,23 @@ class QueryServer:
             )
             keys = packed.tolist()
             pairs = np.column_stack((us_arr[first], vs_arr[first]))
-        ticket = BatchTicket(
+        return BatchTicket(
             us_arr.size, keys, pairs, scatter.reshape(-1), base
         )
-        return ticket, generation
 
-    def _enqueue(
-        self, ticket: BatchTicket, generation: str, *, inline: bool = False
-    ) -> None:
-        """A batch ticket's way in: cache probe, then admission (or,
-        with ``inline``, service in the calling thread), overload, and
-        the books.  A ticket the cache answers completely resolves here
-        and never enqueues.
-
-        ``generation`` is the one the ticket's keys were packed under;
-        the probe misses if a swap has re-keyed the cache since, so a
-        key packed for one vertex count never reads another's entry.
-        """
+    def _enqueue(self, ticket: BatchTicket, *, inline: bool = False) -> None:
+        """A batch ticket's way in: admission (or, with ``inline``,
+        service in the calling thread), overload, and the books.  An
+        empty ticket resolves here and never enqueues."""
         arrived = perf_counter()
         home, cell = self._slot()
         width = ticket.width
-        hits = 0
-        if self._cache_on:
-            hits = ticket._probed(self._cache.get_many(ticket._keys, generation))
-        if hits == width:
+        if not width:
             ticket._answer(())
-            cell[_REQUESTS] += width
-            cell[_CACHE_HITS] += width
-            cell[_RESPONSES] += width
             return
         if not inline and not self._admit(ticket, len(ticket._keys), home):
             raise self._refuse(cell, f"batch of {width} pair(s)")
         cell[_REQUESTS] += width
-        cell[_CACHE_HITS] += hits
-        cell[_CACHE_MISSES] += width - hits
         cell[_BATCH_SUBMISSIONS] += 1
         if inline:
             self._serve([ticket], arrived)
@@ -808,24 +739,19 @@ class QueryServer:
         return self._oracle
 
     @property
-    def generation(self) -> str:
-        """The result cache's current generation token."""
-        return self._keying[1]
-
-    @property
     def generation_seq(self) -> int:
         """Monotone swap counter: 0 at construction, +1 per set_oracle."""
         return self._generation_seq
 
-    def set_oracle(self, oracle) -> bool:
-        """Swap the serving oracle; True if the result cache was cleared.
+    def set_oracle(self, oracle) -> None:
+        """Swap the serving oracle.
 
-        Every swap re-keys the cache under a fresh O(1) generation
-        token (no pass over the labels), so every swap clears it, and
-        answers still in flight from the old oracle are dropped by the
-        generation guard rather than cached stale.  Every swap bumps the
-        monotone ``serve.generation`` gauge (hot swaps are observable and
-        provably ordered).
+        A group in flight finishes on the oracle it started with; every
+        group dispatched after the swap is answered by the new one.
+        Items queued before a swap to another vertex count are answered
+        alone, never merged under the new key space.  Every swap bumps
+        the monotone ``serve.generation`` gauge (hot swaps are
+        observable and provably ordered).
         """
         key_base = _key_base_for(oracle)
         with self._oracle_lock:
@@ -833,27 +759,19 @@ class QueryServer:
             # last reference past the lock so dispatchers do not wait.
             outgoing = self._oracle
             self._oracle = oracle
+            self._key_base = key_base
             self._generation_seq += 1
             seq = self._generation_seq
-            generation = _generation_for(oracle, seq)
-            # One attribute, so a submit reads a matching (n, generation).
-            self._keying = (key_base, generation)
-            cleared = self._cache.rekey(generation)
         del outgoing
         obs = self._bind_obs()
         if obs is not None:
             obs.generation.set(seq)
-        return cleared
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> ServerStats:
         return _snapshot(self._books, self._width_hist)
-
-    @property
-    def cache(self) -> ResultCache:
-        return self._cache
 
     def queue_depth(self) -> int:
         """Queued pairs across every admission shard."""
@@ -943,8 +861,8 @@ class QueryServer:
         self._books.cell()[_CANCELLED] += sum(item.width for item in items)
 
     def _serve(self, items: List[object], oldest: float) -> None:
-        """Answer one drained group: cache the answers, then resolve
-        each pair future and scatter each ticket's slice.
+        """Answer one drained group: resolve each pair future and
+        scatter each ticket's slice.
 
         Items keyed like the current oracle share one dedup and one
         ``batch_query`` call; the rest (keys packed for a swapped-out
@@ -956,11 +874,10 @@ class QueryServer:
         values: List[object] = []  # futures[i] answers values[i]
         tickets: List[Tuple[BatchTicket, object]] = []
         failed: List[Tuple[object, BaseException]] = []
-        puts: List[Tuple[List[object], object]] = []
         width = 0
         with self._oracle_lock:
             oracle = self._oracle
-            base, generation = self._keying
+            base = self._key_base
             arrays = bool(getattr(oracle, "accepts_pair_arrays", False))
             pair_group: List[_PairFuture] = []
             ticket_group: List[BatchTicket] = []
@@ -976,7 +893,7 @@ class QueryServer:
             if len(pair_group) + len(ticket_group) > 1:
                 batch_fn = getattr(oracle, "batch_query", None)
                 try:
-                    keys, pairs, inverse = _merge(pair_group, ticket_group, base)
+                    pairs, inverse = _merge(pair_group, ticket_group, base)
                     pairs = _for_oracle(pairs, arrays)
                     # A failed merged call goes straight to the per-item
                     # retry, which owns the scalar fallback.
@@ -988,7 +905,6 @@ class QueryServer:
                 except Exception:
                     alone = items  # isolate the bad item below
                 else:
-                    puts.append((keys, answers))
                     ordered = np.asarray(answers, dtype=object)[
                         inverse
                     ].tolist()
@@ -1016,16 +932,9 @@ class QueryServer:
                 if single:
                     futures.append(item)
                     values.append(answers[0])
-                    keys = [item._key]
                 else:
                     tickets.append((item, answers))
-                    keys = item._keys
-                if item._base == base:
-                    puts.append((keys, answers))
         done = perf_counter()
-        if self._cache_on:
-            for keys, answers in puts:
-                self._cache.put_many(keys, answers, generation)
         errors = sum(item.width for item, _ in failed)
         # The books first: whoever sees an answer sees it counted.
         cell = self._books.cell()

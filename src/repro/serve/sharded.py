@@ -9,8 +9,8 @@ immutable, so shard the *compute*, not the data:
   ``multiprocessing.shared_memory`` segment, via :mod:`repro.perf.shm`;
 * each of ``processes`` forked workers attaches zero-copy and serves
   every frame synchronously through the in-process pipeline -- an
-  unstarted :class:`~repro.serve.server.QueryServer` with its own
-  generation-keyed result cache -- over the shared pages;
+  unstarted :class:`~repro.serve.server.QueryServer` -- over the
+  shared pages;
 * the parent speaks a **pair-array IPC protocol** to the fleet: raw
   length-prefixed numpy frames (int64 pairs out, float64 distances
   back) over ``multiprocessing`` pipes.  No pickle anywhere on the hot
@@ -33,12 +33,12 @@ an explicit shutdown handshake, stragglers are terminated, and the
 owned segment is unlinked (nothing left under ``/dev/shm``).
 
 One set of books, kept parent-side: the parent sees every pair and
-every frame, and each answer frame carries how many of its pairs the
-worker's cache answered, so :meth:`ShardedQueryServer.stats` is a sum
-over the same per-thread books cells the in-process server keeps.  It
-touches no pipe and no slot lock, and a respawned or terminated worker
-takes none of the tallies with it.  The six ``serve.*`` counters read
-those cells; ``serve.worker_batches`` per frame (labelled by worker
+every frame (each frame is one dispatched group), so
+:meth:`ShardedQueryServer.stats` is a sum over the same per-thread
+books cells the in-process server keeps.  It touches no pipe and no
+slot lock, and a respawned or terminated worker takes none of the
+tallies with it.  The four ``serve.*`` counters read those cells;
+``serve.worker_batches`` per frame (labelled by worker
 slot), ``serve.worker_restarts`` per respawn, and the
 ``serve.workers_alive`` gauge are emitted parent-side too (worker-process
 registries are invisible to the parent).
@@ -68,8 +68,6 @@ from ..runtime.errors import DomainError, ServerOverloadError
 from .server import (
     _BATCH_SUBMISSIONS,
     _BATCHES,
-    _CACHE_HITS,
-    _CACHE_MISSES,
     _COALESCED,
     _ERRORS,
     _FED_COUNTERS,
@@ -79,6 +77,7 @@ from .server import (
     WIDTH_BUCKETS,
     ServerStats,
     _Books,
+    _refuse_cache,
     _snapshot,
 )
 
@@ -115,17 +114,16 @@ def _encode_error(kind: int, message: str) -> bytes:
     return bytes((_ST_ERROR, kind)) + message.encode("utf-8", "replace")
 
 
-def _worker_main(conn, segment: str, cache_size: int):
+def _worker_main(conn, segment: str):
     """One worker process: attach the shared store, serve frames forever.
 
     Each frame goes through the in-process pipeline synchronously: a
     private, never-started :class:`~repro.serve.server.QueryServer`
-    whose oracle views the shared pages dedups it, probes its own
-    generation-keyed result cache, and serves the rest in this thread
-    -- no dispatcher thread, no event hop.  An answer frame is status,
-    pair count, the frame's cache-hit count, then the float64
-    distances.  Top-level (and with picklable arguments) so the fleet
-    also works under the ``spawn`` start method.
+    whose oracle views the shared pages dedups it and serves it in
+    this thread -- no dispatcher thread, no event hop.  An answer frame
+    is status, pair count, then the float64 distances.  Top-level (and
+    with picklable arguments) so the fleet also works under the
+    ``spawn`` start method.
     """
     from ..oracles.oracle import HubLabelOracle
     from ..perf.shm import SharedLabelStore
@@ -134,10 +132,7 @@ def _worker_main(conn, segment: str, cache_size: int):
     store = SharedLabelStore.attach(segment)
     # Admission is the parent's job; the worker's pipeline is never
     # started and serves each frame inline.
-    server = QueryServer(
-        HubLabelOracle(store.flat, backend="flat"), cache_size=cache_size
-    )
-    books = server._books.cell()  # this thread's: the frame's hits
+    server = QueryServer(HubLabelOracle(store.flat, backend="flat"))
     try:
         while True:
             try:
@@ -153,10 +148,9 @@ def _worker_main(conn, segment: str, cache_size: int):
             m = int.from_bytes(frame[1:9], "big")
             us = np.frombuffer(frame, dtype="<i8", count=m, offset=9)
             vs = np.frombuffer(frame, dtype="<i8", count=m, offset=9 + 8 * m)
-            hits = books[_CACHE_HITS]
             try:
-                ticket, generation = server._ticket(us, vs)
-                server._enqueue(ticket, generation, inline=True)
+                ticket = server._ticket(us, vs)
+                server._enqueue(ticket, inline=True)
                 values = ticket.result()
                 payload = np.asarray(values, dtype=np.float64)
             except DomainError as exc:
@@ -165,11 +159,9 @@ def _worker_main(conn, segment: str, cache_size: int):
             except Exception as exc:  # pragma: no cover - defensive
                 conn.send_bytes(_encode_error(_ERR_GENERIC, str(exc)))
                 continue
-            hits = books[_CACHE_HITS] - hits
             conn.send_bytes(
                 bytes((_ST_OK,))
                 + m.to_bytes(8, "big")
-                + hits.to_bytes(8, "big")
                 + payload.astype("<f8", copy=False).tobytes()
             )
     finally:
@@ -278,8 +270,12 @@ class ShardedQueryServer:
 
     ``max_queue`` bounds in-flight pairs fleet-wide (admission mirrors
     the in-process server: a batch is admitted whole into remaining
-    capacity, so one oversized batch cannot livelock).  ``cache_size``
-    sizes each worker's result cache.
+    capacity, so one oversized batch cannot livelock).
+
+    ``cache_size`` accepts only 0, checked before any worker starts:
+    the result cache was removed.  The keyword exists only for the
+    benchmark scripts that still pass ``cache_size=0``, and goes in the
+    benchmark change that drops them.
     """
 
     def __init__(
@@ -288,15 +284,15 @@ class ShardedQueryServer:
         *,
         processes: int = 4,
         max_queue: int = 1024,
-        cache_size: int = 4096,
+        cache_size: int = 0,
     ) -> None:
+        _refuse_cache(cache_size)
         if processes < 1:
             raise ValueError("processes must be at least 1")
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         self.processes = processes
         self.max_queue = max_queue
-        self._cache_size = cache_size
         self._flat = _flat_store_of(source)
         self._oracle = (
             source
@@ -351,7 +347,7 @@ class ShardedQueryServer:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._segment, self._cache_size),
+            args=(child_conn, self._segment),
             name="repro-shard-worker",
             daemon=True,
         )
@@ -414,9 +410,8 @@ class ShardedQueryServer:
         Consistency matches the in-process door: a frame is answered
         entirely by whichever labeling its worker held -- never a mix
         -- and every call admitted after ``set_oracle`` returns is
-        answered by the new labeling (each worker's result cache is
-        generation-keyed, so no cached answer crosses the swap).  The
-        monotone ``serve.generation`` gauge bumps once per swap.
+        answered by the new labeling.  The monotone ``serve.generation``
+        gauge bumps once per swap.
 
         When the fleet is not running, the swap just replaces the
         pending store; the next ``start()`` serves it.
@@ -541,34 +536,26 @@ class ShardedQueryServer:
         cell[_REQUESTS] += width
         try:
             slot, response = self._roundtrip(_encode_query(us, vs))
-            values, hits = self._decode_response(response, width)
+            values = self._decode_response(response, width)
         except Exception:
-            # No cache answered these pairs: requests == hits + misses.
-            cell[_CACHE_MISSES] += width
             cell[_ERRORS] += width
             raise
         finally:
             with self._admission:
                 self._inflight -= width
-        # Booked as the worker's pipeline books it: a frame its cache
-        # did not answer whole is one dispatched group.
-        cell[_CACHE_HITS] += hits
-        cell[_CACHE_MISSES] += width - hits
-        if hits < width:
-            cell[_BATCH_SUBMISSIONS] += 1
-            cell[_BATCHES] += 1
-            cell[_COALESCED] += width
-            self._width_hist.observe(float(width))
+        # Booked as the worker's pipeline books it: one dispatched group.
+        cell[_BATCH_SUBMISSIONS] += 1
+        cell[_BATCHES] += 1
+        cell[_COALESCED] += width
+        self._width_hist.observe(float(width))
         cell[_RESPONSES] += width
         obs = self._bind_obs()
         if obs is not None:
             obs[0](slot).inc()
         return values
 
-    def _decode_response(
-        self, frame: bytes, width: int
-    ) -> Tuple[List[object], int]:
-        """An answer frame's distances and cache-hit count."""
+    def _decode_response(self, frame: bytes, width: int) -> List[object]:
+        """An answer frame's distances."""
         from ..perf.flat import _dedouble
 
         if frame[0] == _ST_ERROR:
@@ -581,12 +568,11 @@ class ShardedQueryServer:
             raise RuntimeError(
                 f"worker answered {m} pair(s) for a {width}-pair frame"
             )
-        hits = int.from_bytes(frame[9:17], "big")
-        dists = np.frombuffer(frame, dtype="<f8", count=m, offset=17)
+        dists = np.frombuffer(frame, dtype="<f8", count=m, offset=9)
         # Same narrowing the flat store applies: integral distances come
         # back as Python ints, disconnection as INF -- byte-identical to
         # the dict store even across the float64 wire.
-        return [_dedouble(value) for value in dists.tolist()], hits
+        return [_dedouble(value) for value in dists.tolist()]
 
     # ------------------------------------------------------------------
     # Worker fan-out + respawn

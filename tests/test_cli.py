@@ -107,6 +107,34 @@ class TestBuildCommand:
         ) == 0
         assert "cache: hit" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("status", ["miss", "hit"])
+    def test_build_derives_the_cache_key_once(
+        self, tmp_path, capsys, monkeypatch, status
+    ):
+        # One key walk serves the lookup, the store of a miss and the
+        # printed artifact path.
+        from repro.perf import cache as cache_module
+
+        cache = tmp_path / "cache"
+        argv = ["build", "--generator", "grid:36", "--cache-dir", str(cache)]
+        if status == "hit":
+            assert main(argv) == 0
+            capsys.readouterr()
+        calls = []
+        real = cache_module.cache_key
+
+        def spy(graph, order):
+            calls.append(graph.num_vertices)
+            return real(graph, order)
+
+        monkeypatch.setattr(cache_module, "cache_key", spy)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"cache: {status}" in out
+        assert calls == [36]
+        artifact = out.split("artifact: ")[1].splitlines()[0]
+        assert [str(path) for path in cache.iterdir()] == [artifact]
+
     def test_build_save_artifact(self, tmp_path, capsys):
         target = tmp_path / "labels.rhl"
         assert main(

@@ -96,7 +96,6 @@ class TestServingDoc:
         for needle in (
             "QueryServer",
             "BatchTicket",
-            "ResultCache",
             "labeling_digest",
             "ServerOverloadError",
             "repro serve",

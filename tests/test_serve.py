@@ -1,8 +1,8 @@
-"""The serving layer: result cache and QueryServer.
+"""The serving layer: QueryServer.
 
 The concurrency contract under test is the one the whole repo is built
-around: the server adds threads, queues, batching, and caching -- and
-changes **nothing** about the answers.  Every distance that comes back
+around: the server adds threads, queues and batching -- and changes
+**nothing** about the answers.  Every distance that comes back
 through a future must be byte-identical (value and type, ``inf``
 included) to what the dict-backend oracle says serially.
 """
@@ -27,8 +27,6 @@ from repro.core import pruned_landmark_labeling
 from repro.graphs import Graph, random_sparse_graph
 from repro.obs.catalog import (
     SERVE_BATCHES,
-    SERVE_CACHE_HITS,
-    SERVE_CACHE_MISSES,
     SERVE_OVERLOADS,
     SERVE_QUEUE_DEPTH,
     SERVE_REQUESTS,
@@ -38,13 +36,7 @@ from repro.obs.registry import NullRegistry, use_registry
 from repro.oracles.oracle import HubLabelOracle
 from repro.perf.flat import FlatHubLabeling
 from repro.runtime import DomainError, ResilientOracle, ServerOverloadError
-from repro.serve import (
-    MISS,
-    QueryServer,
-    ResultCache,
-    labeling_digest,
-    run_loadgen,
-)
+from repro.serve import QueryServer, labeling_digest, run_loadgen
 
 
 @pytest.fixture
@@ -124,60 +116,6 @@ class _GatedOracle:
         rows = pairs.tolist() if hasattr(pairs, "tolist") else pairs
         self.calls.append([tuple(row) for row in rows])
         return self.inner.batch_query(pairs)
-
-
-class TestResultCache:
-    def test_lru_eviction_order(self):
-        cache = ResultCache(2)
-        cache.rekey("g")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # freshen: "b" is now LRU
-        cache.put("c", 3)
-        assert cache.get("b") is MISS
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_miss_sentinel_distinguishes_cached_none(self):
-        cache = ResultCache(4)
-        cache.put("k", None)
-        assert cache.get("k") is None
-        assert cache.get("absent") is MISS
-
-    def test_zero_capacity_disables(self):
-        cache = ResultCache(0)
-        assert not cache.put("k", 1)
-        assert cache.get("k") is MISS
-
-    def test_rekey_clears_only_on_change(self):
-        cache = ResultCache(4)
-        cache.rekey("g1")
-        cache.put("k", 1)
-        assert not cache.rekey("g1")  # same generation: keep warm
-        assert cache.get("k") == 1
-        assert cache.rekey("g2")  # new generation: cold
-        assert cache.get("k") is MISS
-
-    def test_stale_generation_put_dropped(self):
-        cache = ResultCache(4)
-        cache.rekey("new")
-        assert not cache.put("k", 1, generation="old")
-        assert cache.get("k") is MISS
-        assert cache.put("k", 2, generation="new")
-        assert cache.get("k") == 2
-
-    def test_stale_generation_get_misses(self):
-        cache = ResultCache(4)
-        cache.rekey("new")
-        cache.put("k", 1)
-        assert cache.get("k", "old") is MISS
-        assert cache.get_many(["k", "j"], "old") == [MISS, MISS]
-        assert cache.get("k", "new") == 1
-        assert cache.get_many(["k", "j"], "new") == [1, MISS]
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(-1)
 
 
 class TestLabelingDigest:
@@ -311,7 +249,6 @@ class TestQueryServer:
         try:
             overloaded = None
             futures = []
-            # Distinct pairs so the cache can never absorb a submit.
             for k in range(16):
                 try:
                     futures.append(server.submit(k, k + 1))
@@ -329,18 +266,6 @@ class TestQueryServer:
             server.stop()
         for future in futures:
             assert future.exception(timeout=1) is None
-
-    def test_cache_serves_repeats_without_oracle(self, flat_oracle, ground):
-        with QueryServer(flat_oracle) as server:
-            first = server.query(1, 2)
-            baseline = server.stats()
-            again = [server.query(1, 2) for _ in range(5)]
-            stats = server.stats()
-        assert again == [first] * 5
-        assert first == ground(1, 2)
-        assert stats.cache_hits - baseline.cache_hits == 5
-        # Cache hits resolve inline: no extra batches were dispatched.
-        assert stats.batches == baseline.batches
 
     def test_cache_disabled_with_zero_capacity(self, flat_oracle):
         with QueryServer(flat_oracle, cache_size=0) as server:
@@ -393,17 +318,6 @@ class TestQueryServer:
         with pytest.raises(DomainError):
             bad.result(timeout=1)
 
-    def test_set_oracle_rekeys_cache(self, flat_oracle):
-        other = pruned_landmark_labeling(random_sparse_graph(60, seed=6))
-        with QueryServer(flat_oracle) as server:
-            server.query(2, 3)
-            assert len(server.cache) >= 1
-            cleared = server.set_oracle(
-                HubLabelOracle(other, backend="dict")
-            )
-        assert cleared
-        assert len(server.cache) == 0
-
     def test_set_oracle_frees_old_oracle_outside_lock(self, served_labeling):
         # Freeing a large store takes milliseconds; dispatchers waiting
         # on the oracle lock must not pay for it.
@@ -421,30 +335,29 @@ class TestQueryServer:
         assert lock_free_at_release == [True]
 
     def test_resilient_oracle_swap_changes_generation(
-        self, served_graph, served_labeling, flat_oracle
+        self, served_graph, served_labeling, flat_oracle, ground
     ):
-        # Same labels behind a different wrapper class: every swap
-        # mints a fresh generation token, so the cache goes cold.
+        # Same labels behind a different wrapper class: the swap still
+        # bumps the generation, and the new oracle answers.
         resilient = ResilientOracle(served_graph, served_labeling)
         with QueryServer(flat_oracle) as server:
-            before = server.generation
-            assert server.set_oracle(resilient)
-            assert server.generation != before
+            before = server.generation_seq
+            assert server.set_oracle(resilient) is None
+            assert server.generation_seq == before + 1
+            assert server.oracle is resilient
+            assert server.query(0, 7) == ground(0, 7)
 
     def test_request_counters_add_up(self, flat_oracle, metrics_registry):
         with QueryServer(flat_oracle) as server:
             pairs = [(u, u + 1) for u in range(10)]
-            server.batch(pairs)  # cold round: all misses, all answered
-            server.batch(pairs)  # two warm rounds: 20 guaranteed hits
-            server.batch(pairs)
+            for _ in range(3):  # repeats are asked again, never cached
+                server.batch(pairs)
+        stats = server.stats()
         requests = metrics_registry.get(SERVE_REQUESTS).value
-        hits = metrics_registry.get(SERVE_CACHE_HITS).value
-        misses = metrics_registry.get(SERVE_CACHE_MISSES).value
         batches = metrics_registry.get(SERVE_BATCHES).value
-        assert requests == 30
-        assert hits + misses == requests
-        assert hits >= 20  # every repeat lands after its first answer
-        assert batches == server.stats().batches >= 1
+        assert requests == stats.requests == stats.responses == 30
+        assert stats.cache_hits == 0
+        assert batches == stats.batches >= 3
 
     def test_context_manager_restarts(self, flat_oracle):
         server = QueryServer(flat_oracle)
@@ -581,43 +494,6 @@ class TestQueryServer:
         finally:
             server.stop()
 
-    def test_swap_between_key_and_probe_never_aliases(self, flat_oracle):
-        # A submit packs its key under n = 60; before it probes, a swap
-        # to an n = 30 oracle re-keys the cache and fills it under the
-        # new key space, where 60u + v is the pair (2u, v).  The probe
-        # must miss, not read (2u, v)'s answer.
-        small = pruned_landmark_labeling(random_sparse_graph(30, seed=7))
-        truth = HubLabelOracle(small, backend="dict")
-        u, v = next(
-            (u, v)
-            for u in range(1, 15)
-            for v in range(30)
-            if truth.query(u, v).distance != truth.query(2 * u, v).distance
-        )
-
-        class _SwapOnProbe(ResultCache):
-            swap = None
-
-            def get(self, key, generation=None):
-                swap, self.swap = self.swap, None
-                if swap is not None:
-                    swap()
-                return super().get(key, generation)
-
-        def swap():
-            server.set_oracle(truth)
-            assert server.query(2 * u, v, timeout=5) == (
-                truth.query(2 * u, v).distance
-            )
-
-        server = QueryServer(flat_oracle)
-        server._cache = _SwapOnProbe(server.cache.capacity)
-        server._cache.rekey(server.generation)
-        with server:
-            server._cache.swap = swap
-            answer = server.query(u, v, timeout=5)
-        assert answer == truth.query(u, v).distance
-
     def test_books_balance_after_cancelling_stop(self):
         stalled = _StallOracle()
         server = QueryServer(stalled, cache_size=0)
@@ -646,6 +522,65 @@ class TestQueryServer:
         assert stats.requests == (
             stats.responses + stats.errors + stats.cancelled
         )
+
+
+class TestNoResultCache:
+    """Every pair is answered by the oracle.  ``cache_size`` survives
+    only as a keyword that accepts 0, for the benchmark scripts that
+    still pass it, and ``ServerStats.cache_hits`` always reads 0."""
+
+    def test_the_benchmark_signatures_serve(self, flat_oracle, ground):
+        for server in (
+            QueryServer(flat_oracle),
+            QueryServer(flat_oracle, cache_size=0, max_queue=64),
+        ):
+            with server:
+                assert server.query(0, 7) == ground(0, 7)
+                assert server.submit_batch([1, 2], [3, 4]).result(
+                    timeout=5
+                ) == [ground(1, 3), ground(2, 4)]
+            stats = server.stats()
+            assert stats.requests == stats.responses == 3
+            assert stats.cache_hits == 0
+
+    @pytest.mark.parametrize("cache_size", [1, 4096])
+    def test_a_nonzero_cache_size_is_refused(self, flat_oracle, cache_size):
+        with pytest.raises(ValueError, match="result cache was removed"):
+            QueryServer(flat_oracle, cache_size=cache_size)
+
+    def test_a_repeated_pair_reaches_the_oracle_each_time(
+        self, served_labeling, ground
+    ):
+        class _Spy:
+            def __init__(self, inner):
+                self.inner = inner
+                self.asked = []
+
+            @property
+            def labeling(self):
+                return self.inner.labeling
+
+            def query(self, u, v):
+                self.asked.append((u, v))
+                return self.inner.query(u, v)
+
+            def batch_query(self, pairs):
+                self.asked.extend(tuple(pair) for pair in pairs)
+                return self.inner.batch_query(pairs)
+
+        spy = _Spy(HubLabelOracle(served_labeling, backend="dict"))
+        with QueryServer(spy) as server:
+            for _ in range(5):
+                assert server.query(1, 2, timeout=5) == ground(1, 2)
+            for _ in range(3):
+                # Deduplicated within the ticket, never across tickets.
+                assert server.submit_batch([1, 1], [2, 2]).result(
+                    timeout=5
+                ) == [ground(1, 2)] * 2
+        assert spy.asked == [(1, 2)] * 8
+        stats = server.stats()
+        assert stats.requests == stats.responses == 11
+        assert stats.batches == 8 and stats.cache_hits == 0
 
 
 class TestThreadedSweep:
@@ -839,17 +774,6 @@ class TestSubmitBatch:
             except CancelledError:
                 pass
 
-    def test_warm_cache_resolves_inline(self, flat_oracle):
-        with QueryServer(flat_oracle) as server:
-            server.submit_batch([1, 2, 3], [4, 5, 6]).result(timeout=30)
-            batches_before = server.stats().batches
-            ticket = server.submit_batch([1, 2, 3], [4, 5, 6])
-            assert ticket.done()  # all hits: resolved at submit time
-            ticket.result(timeout=0)
-            stats = server.stats()
-        assert stats.batches == batches_before
-        assert stats.cache_hits >= 3
-
     def test_scalar_only_oracle_serves_batches(self, served_labeling, ground):
         class _ScalarOnly:
             def __init__(self, inner):
@@ -970,13 +894,14 @@ class TestPairFutures:
 
     def test_submit_returns_a_stdlib_future(self, flat_oracle):
         with QueryServer(flat_oracle) as server:
-            cold = server.submit(1, 2)
-            cold.result(timeout=5)
-            warm = server.submit(1, 2)  # a cache hit, resolved at submit
-        for future in (cold, warm):
+            first = server.submit(1, 2)
+            first.result(timeout=5)
+            again = server.submit(1, 2)  # asked again, never cached
+            again.result(timeout=5)
+        for future in (first, again):
             assert isinstance(future, Future)
             assert future.done() and not future.cancelled()
-        assert warm.result(timeout=0) == cold.result(timeout=0)
+        assert again.result(timeout=0) == first.result(timeout=0)
 
     def test_private_attributes_match_future_init(self):
         # The subclass sets Future.__init__'s attributes itself, with
@@ -1115,11 +1040,11 @@ class TestPairFutures:
         finally:
             oracle.release.set()
             server.stop()
-        with QueryServer(flat_oracle) as warm_server:
-            warm_server.query(1, 2)
-            hit = warm_server.submit(1, 2)  # resolved: runs at once
-            hit.add_done_callback(calls.append)
-        assert sorted(map(id, calls)) == sorted(map(id, pending + [hit]))
+        with QueryServer(flat_oracle) as other:
+            answered = other.submit(1, 2)
+            answered.result(timeout=5)
+            answered.add_done_callback(calls.append)  # done: runs at once
+        assert sorted(map(id, calls)) == sorted(map(id, pending + [answered]))
 
     def test_timeout_waits_out_its_deadline_while_siblings_resolve(self):
         # Siblings submitted by the same thread complete while the
@@ -1254,10 +1179,10 @@ class TestPairFutures:
 
 
 def _mixed_workload(gated):
-    """Cache hits, misses, an oracle error, an overload refusal and a
+    """Answers, repeats, an oracle error, an overload refusal and a
     non-draining cancel, in that order, through one server.  Returns
     the stopped server and what its books must read."""
-    server = QueryServer(gated, max_queue=5, cache_size=64)
+    server = QueryServer(gated, max_queue=5)
     server.start()
     gated.release.set()
     pairs = [(u, u + 1) for u in range(5)]
@@ -1283,7 +1208,8 @@ def _mixed_workload(gated):
     assert all(future.cancelled() for future in backlog)
     expected = {
         "requests": 5 + 5 + 2 + 1 + 1 + 5,
-        "cache_hits": 5 + 1,
+        "responses": 5 + 5 + 2 + 1,
+        "cache_hits": 0,
         "errors": 1,
         "overloads": 1,
         "cancelled": 5,
@@ -1307,10 +1233,8 @@ class TestOneSetOfBooks:
             return metrics_registry.get(name).value
 
         assert counter(SERVE_REQUESTS) == stats.requests
-        assert counter(SERVE_CACHE_HITS) == stats.cache_hits
         assert counter(SERVE_OVERLOADS) == stats.overloads
         assert counter(SERVE_BATCHES) == stats.batches >= 1
-        assert counter(SERVE_CACHE_MISSES) == stats.requests - stats.cache_hits
 
     def test_stats_stay_exact_under_a_null_registry(self, flat_oracle):
         with use_registry(NullRegistry()) as null:
@@ -1331,21 +1255,19 @@ class TestOneSetOfBooks:
             server.stop()
         assert late.get(SERVE_REQUESTS).value == server.stats().requests == 4
 
-    def test_a_cache_hit_binds_and_a_swapped_out_registry_keeps_reading(
-        self, flat_oracle
-    ):
+    def test_a_swapped_out_registry_keeps_reading(self, flat_oracle):
         with use_registry() as first:
             server = QueryServer(flat_oracle).start()
             server.query(1, 2)
         with use_registry() as second:
-            server.query(1, 2)  # a cache hit binds the current registry
-            assert second.get(SERVE_CACHE_HITS).value == 1
+            server.query(1, 2)  # dispatch binds the current registry
+            assert second.get(SERVE_BATCHES).value == 2
         server.stop()
         # Every registry the server was bound to reads the one set of
         # books, including what was counted before its bind.
         for registry in (first, second):
             assert registry.get(SERVE_REQUESTS).value == 2
-            assert registry.get(SERVE_CACHE_HITS).value == 1
+            assert registry.get(SERVE_BATCHES).value == 2
 
 
 class TestDepthGauges:
@@ -1390,8 +1312,7 @@ class TestDepthGauges:
 
 class TestNonIntegerIds:
     """A vertex id that is not an integer is refused with DomainError at
-    every door, never truncated or parsed into another pair -- with the
-    result cache on and off."""
+    every door, never truncated or parsed into another pair."""
 
     @pytest.fixture(scope="class")
     def flat(self):
@@ -1400,15 +1321,12 @@ class TestNonIntegerIds:
 
         return build_flat_labels(barabasi_albert(50, 2, seed=0))
 
-    @pytest.mark.parametrize("cache_size", [0, 64])
-    def test_per_pair_door(self, flat, cache_size):
+    def test_per_pair_door(self, flat):
         import numpy as np
 
-        with QueryServer(
-            HubLabelOracle(flat, backend="flat"), cache_size=cache_size
-        ) as server:
-            # 1.5 * 50 + 2 is 77.0, the key of pair (1, 27); warm its
-            # cache entry and pair (1, 2)'s.
+        with QueryServer(HubLabelOracle(flat, backend="flat")) as server:
+            # 1.5 * 50 + 2 is 77.0, the key of pair (1, 27); serve it
+            # and pair (1, 2) first.
             truth = {pair: flat.query(*pair) for pair in ((1, 27), (1, 2), (3, 2))}
             for pair in truth:
                 assert server.submit(*pair).result(timeout=5) == truth[pair]
@@ -1422,13 +1340,10 @@ class TestNonIntegerIds:
             stats = server.stats()
             assert stats.requests == stats.responses + stats.errors
 
-    @pytest.mark.parametrize("cache_size", [0, 64])
-    def test_batch_door(self, flat, cache_size):
+    def test_batch_door(self, flat):
         import numpy as np
 
-        with QueryServer(
-            HubLabelOracle(flat, backend="flat"), cache_size=cache_size
-        ) as server:
+        with QueryServer(HubLabelOracle(flat, backend="flat")) as server:
             assert server.submit_batch([1], [2]).result(timeout=5) == [
                 flat.query(1, 2)
             ]

@@ -1,155 +1,12 @@
 """Property-based tests for the serving layer.
 
-The result cache is the piece the dispatcher's correctness leans on,
-and it is deliberately clock-free / pure so hypothesis can drive
-*arbitrary* interleavings deterministically: :class:`ResultCache`
-behaves exactly like a capacity-bounded model dict under any operation
-sequence, and a generation mismatch can never smuggle a stale answer
-in (the ``set_oracle`` guard).  Further down, the same style drives a
-live server: ``submit_batch`` answers exactly like per-pair ``submit``,
-swaps are whole-ticket atomic, and skewed workloads stay exact.
+Hypothesis drives a live server: ``submit_batch`` answers exactly like
+per-pair ``submit``, swaps are whole-ticket atomic, and skewed
+workloads stay exact.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.serve import MISS, ResultCache
-
-# ---------------------------------------------------------------------------
-# ResultCache vs a model
-# ---------------------------------------------------------------------------
-
-_keys = st.integers(0, 9)
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("get"), _keys),
-        st.tuples(st.just("put"), _keys, st.integers(0, 99)),
-        st.tuples(st.just("rekey"), st.sampled_from(["g1", "g2", "g3"])),
-        st.tuples(
-            st.just("stale_put"),
-            _keys,
-            st.integers(0, 99),
-            st.sampled_from(["g1", "g2", "g3"]),
-        ),
-        st.just(("clear",)),
-    ),
-    max_size=80,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=_ops, capacity=st.integers(0, 6))
-def test_cache_matches_model(ops, capacity):
-    cache = ResultCache(capacity)
-    cache.rekey("g1")
-    generation = "g1"
-    model = {}  # insertion order tracks recency (dicts are ordered)
-
-    def touch(key):
-        model[key] = model.pop(key)
-
-    for op in ops:
-        if op[0] == "get":
-            got = cache.get(op[1])
-            if op[1] in model:
-                assert got == model[op[1]]
-                touch(op[1])
-            else:
-                assert got is MISS
-        elif op[0] == "put":
-            accepted = cache.put(op[1], op[2], generation)
-            assert accepted == (capacity > 0)
-            if accepted:
-                model[op[1]] = op[2]
-                touch(op[1])
-                while len(model) > capacity:
-                    del model[next(iter(model))]  # evict true LRU
-        elif op[0] == "rekey":
-            cleared = cache.rekey(op[1])
-            assert cleared == (op[1] != generation)
-            if cleared:
-                model.clear()
-            generation = op[1]
-        elif op[0] == "stale_put":
-            accepted = cache.put(op[1], op[2], op[3])
-            if op[3] != generation:
-                # The staleness guard: a put tagged with any *other*
-                # generation must be dropped, never served later.
-                assert not accepted
-            elif accepted:
-                model[op[1]] = op[2]
-                touch(op[1])
-                while len(model) > capacity:
-                    del model[next(iter(model))]
-        else:
-            cache.clear()
-            model.clear()
-        assert len(cache) == len(model)
-        assert set(cache.keys()) == set(model)
-    # Final recency order must agree exactly (LRU -> MRU).
-    assert list(cache.keys()) == list(model)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    warm=st.lists(st.tuples(_keys, st.integers(0, 99)), max_size=20),
-    generations=st.lists(st.sampled_from(["a", "b", "c"]), max_size=10),
-)
-def test_rebuild_never_serves_stale(warm, generations):
-    """After any rekey chain, entries from an older generation are gone."""
-    cache = ResultCache(32)
-    cache.rekey("initial")
-    for key, value in warm:
-        cache.put(key, value, "initial")
-    current = "initial"
-    for generation in generations:
-        changed = cache.rekey(generation)
-        if generation != current:
-            assert changed
-            assert len(cache) == 0  # nothing survives a real swap
-        current = generation
-        cache.put(0, 42, current)
-        assert cache.get(0) == 42
-
-
-# ---------------------------------------------------------------------------
-# get_many / put_many vs the scalar operations
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    puts=st.lists(st.tuples(_keys, st.integers(0, 99)), max_size=25),
-    probes=st.lists(_keys, max_size=25),
-    capacity=st.integers(0, 8),
-)
-def test_bulk_ops_match_scalar_ops(puts, probes, capacity):
-    """put_many/get_many behave exactly like a loop of put/get."""
-    bulk = ResultCache(capacity)
-    scalar = ResultCache(capacity)
-    bulk.rekey("g")
-    scalar.rekey("g")
-    accepted = bulk.put_many(
-        [key for key, _ in puts], [value for _, value in puts], "g"
-    )
-    for key, value in puts:
-        scalar_accepted = scalar.put(key, value, "g")
-    if puts:
-        assert accepted == (capacity > 0)
-    assert list(bulk.keys()) == list(scalar.keys())
-    got_bulk = bulk.get_many(probes)
-    got_scalar = [scalar.get(key) for key in probes]
-    assert got_bulk == got_scalar
-    # Bulk gets freshen recency identically to scalar gets.
-    assert list(bulk.keys()) == list(scalar.keys())
-
-
-def test_put_many_stale_generation_dropped_whole():
-    cache = ResultCache(8)
-    cache.rekey("new")
-    assert not cache.put_many([1, 2], [10, 20], "old")
-    assert len(cache) == 0
-
 
 # ---------------------------------------------------------------------------
 # submit_batch equals per-pair submit through a live server
@@ -237,7 +94,7 @@ def test_set_oracle_between_batches_never_serves_stale(pairs, swap_first):
     vs = [v for _, v in pairs]
     with QueryServer(first) as server:
         before = server.submit_batch(us, vs).result(timeout=30)
-        assert server.set_oracle(second)  # every swap clears the cache
+        server.set_oracle(second)
         after = server.submit_batch(us, vs).result(timeout=30)
     for (u, v), got_first, got_second in zip(pairs, before, after):
         want_first = first.query(u, v).distance
@@ -359,7 +216,7 @@ class TestSkewedWorkloadsThroughBothDoors:
     ``batch_size=None`` drives per-pair ``submit`` (the ``--batch 0``
     door); ``batch_size=16`` drives batch-native ``submit_batch``.
     Either way every answer must match ground truth -- skew changes the
-    cache and coalescing behavior, never the answers.
+    coalescing behavior, never the answers.
     """
 
     def _setup(self, n=80):
@@ -388,29 +245,3 @@ class TestSkewedWorkloadsThroughBothDoors:
             )
         assert report.ok, report.render()
         assert report.requests == 4 * 120
-
-    def test_hotspot_raises_cache_hit_rate(self):
-        """The hotspot stream is the result cache's best case: its hit
-        rate must clearly beat the uniform stream's on the same server
-        configuration."""
-        graph, flat, ground = self._setup()
-        rates = {}
-        for distribution in ("uniform", "hotspot"):
-            with QueryServer(flat, cache_size=4096) as server:
-                report = run_loadgen(
-                    server,
-                    graph.num_vertices,
-                    clients=4,
-                    requests_per_client=200,
-                    seed=6,
-                    expected=lambda u, v: ground.query(u, v).distance,
-                    distribution=distribution,
-                    hot_pairs=8,
-                    hot_fraction=0.9,
-                )
-                stats = server.stats()
-            assert report.ok, report.render()
-            rates[distribution] = stats.cache_hits / stats.responses
-        assert rates["hotspot"] > rates["uniform"] + 0.3
-        # ~90% of hotspot traffic is 8 pairs: nearly all of it hits.
-        assert rates["hotspot"] > 0.7

@@ -108,7 +108,7 @@ def run_workload() -> set:
         # Serving layer: stall the oracle so submissions back the tiny
         # admission queue up until one overflows (serve.overloads),
         # then release the gate so the drain emits the batch / latency
-        # metrics and a repeated pair scores a cache hit.
+        # metrics.
         class _Stall:
             def __init__(self, inner):
                 self.inner = inner
@@ -140,7 +140,6 @@ def run_workload() -> set:
             stalled.gate.set()
         for future in futures:
             future.result(timeout=10)
-        server.query(0, 1)  # already cached -> serve.cache_hits
         # The batch-native door: one ticket -> serve.batch_submissions.
         server.submit_batch([0, 2], [2, 3]).result(timeout=10)
 
